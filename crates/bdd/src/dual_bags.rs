@@ -114,7 +114,7 @@ impl DualBag {
 /// # Panics
 ///
 /// Panics if `bag` is a leaf.
-pub fn classify_dual_edges(bdd: &Bdd<'_>, bag: &Bag) -> HashMap<usize, EdgeLocus> {
+pub fn classify_dual_edges(bdd: &Bdd, bag: &Bag) -> HashMap<usize, EdgeLocus> {
     assert!(!bag.is_leaf(), "edge classification is for non-leaf bags");
     let mut locus = HashMap::new();
     for &e in &bag.edges {
@@ -139,7 +139,7 @@ pub fn classify_dual_edges(bdd: &Bdd<'_>, bag: &Bag) -> HashMap<usize, EdgeLocus
 /// whose incident dual edges are **not** all contained in a single child
 /// bag (Lemma 5.8; this includes the endpoints of `S_X` dual edges and the
 /// faces/face-parts split between children).
-pub fn dual_separator(bdd: &Bdd<'_>, bag: &Bag, dual: &DualBag) -> Vec<FaceId> {
+pub fn dual_separator(bdd: &Bdd, bag: &Bag, dual: &DualBag) -> Vec<FaceId> {
     let locus = classify_dual_edges(bdd, bag);
     // For each node: the set of loci of its incident edges.
     let mut node_loci: Vec<Option<EdgeLocus>> = vec![None; dual.len()];
@@ -169,18 +169,19 @@ pub fn dual_separator(bdd: &Bdd<'_>, bag: &Bag, dual: &DualBag) -> Vec<FaceId> {
 /// Property-12-style assembly check: the dual arcs of `X*` are exactly the
 /// union of the children's dual arcs plus the `S_X` dual arcs, and every
 /// path of `X*` that crosses children intersects `F_X` (Lemma 5.15 checked
-/// by a reachability argument). Used by tests and the experiment harness.
-pub fn check_assembly(bdd: &Bdd<'_>, bag: &Bag) -> bool {
+/// by a reachability argument), for a bag of `bdd`, the decomposition of
+/// `g`. Used by tests and the experiment harness.
+pub fn check_assembly(g: &PlanarGraph, bdd: &Bdd, bag: &Bag) -> bool {
     if bag.is_leaf() {
         return true;
     }
-    let dual = DualBag::of_bag(bdd.graph, bag);
+    let dual = DualBag::of_bag(g, bag);
     let locus = classify_dual_edges(bdd, bag);
     // (1) Arc sets match: every child dual arc appears in X*, and every X*
     // arc is classified.
     let parent_darts: std::collections::HashSet<Dart> = dual.arcs.iter().map(|a| a.dart).collect();
     for &c in &bag.children {
-        let child_dual = DualBag::of_bag(bdd.graph, &bdd.bags[c]);
+        let child_dual = DualBag::of_bag(g, &bdd.bags[c]);
         for a in &child_dual.arcs {
             if !parent_darts.contains(&a.dart) {
                 return false;
@@ -226,7 +227,7 @@ mod tests {
     use duality_congest::{CostLedger, CostModel};
     use duality_planar::gen;
 
-    fn build(g: &PlanarGraph, threshold: usize) -> Bdd<'_> {
+    fn build(g: &PlanarGraph, threshold: usize) -> Bdd {
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
         Bdd::build(
@@ -316,7 +317,7 @@ mod tests {
         ] {
             let bdd = build(&g, 10);
             for bag in &bdd.bags {
-                assert!(check_assembly(&bdd, bag), "bag {}", bag.id);
+                assert!(check_assembly(&g, &bdd, bag), "bag {}", bag.id);
             }
         }
     }

@@ -129,9 +129,7 @@ impl Default for BddOptions {
 /// assert!(bdd.check_children_cover());
 /// ```
 #[derive(Clone, Debug)]
-pub struct Bdd<'g> {
-    /// The underlying graph.
-    pub graph: &'g PlanarGraph,
+pub struct Bdd {
     /// All bags; index = [`BagId`]; bag 0 is the root.
     pub bags: Vec<Bag>,
     /// Bags grouped by level.
@@ -146,11 +144,12 @@ pub struct Bdd<'g> {
 /// reject them instead.
 pub const MIN_LEAF_THRESHOLD: usize = 2;
 
-impl<'g> Bdd<'g> {
-    /// Builds the decomposition, charging `Õ(D)` rounds per level
-    /// (paper, Lemma 5.1) on `ledger`.
+impl Bdd {
+    /// Builds the decomposition of `g`, charging `Õ(D)` rounds per level
+    /// (paper, Lemma 5.1) on `ledger`. The result owns its bags and keeps
+    /// no reference to `g`.
     pub fn build(
-        g: &'g PlanarGraph,
+        g: &PlanarGraph,
         options: &BddOptions,
         cm: &CostModel,
         ledger: &mut CostLedger,
@@ -302,7 +301,6 @@ impl<'g> Bdd<'g> {
         ledger.charge("bdd-face-ids", cm.dual_part_wise_aggregation());
 
         Bdd {
-            graph: g,
             bags,
             levels,
             leaf_threshold: threshold,
@@ -374,17 +372,17 @@ impl<'g> Bdd<'g> {
         true
     }
 
-    /// Counts the *face-parts* of a bag: faces of `G` whose dart set in the
-    /// bag is a strict nonempty subset of their darts in `G` (Lemma 5.3:
-    /// `O(log n)` per bag).
-    pub fn face_parts_of(&self, bag: &Bag) -> usize {
+    /// Counts the *face-parts* of a bag of this decomposition of `g`: faces
+    /// of `G` whose dart set in the bag is a strict nonempty subset of
+    /// their darts in `G` (Lemma 5.3: `O(log n)` per bag).
+    pub fn face_parts_of(&self, g: &PlanarGraph, bag: &Bag) -> usize {
         let mut darts_of_face: HashMap<u32, usize> = HashMap::new();
         for &d in &bag.dart_in {
-            *darts_of_face.entry(self.graph.face_of(d).0).or_default() += 1;
+            *darts_of_face.entry(g.face_of(d).0).or_default() += 1;
         }
         darts_of_face
             .iter()
-            .filter(|(&f, &cnt)| cnt < self.graph.face_darts(duality_planar::FaceId(f)).len())
+            .filter(|(&f, &cnt)| cnt < g.face_darts(duality_planar::FaceId(f)).len())
             .count()
     }
 }
@@ -468,7 +466,7 @@ mod tests {
     use super::*;
     use duality_planar::gen;
 
-    fn build(g: &PlanarGraph, threshold: usize) -> (Bdd<'_>, CostLedger) {
+    fn build(g: &PlanarGraph, threshold: usize) -> (Bdd, CostLedger) {
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
         let bdd = Bdd::build(
@@ -536,7 +534,7 @@ mod tests {
         let (bdd, _) = build(&g, 10);
         let logn = (g.num_vertices() as f64).log2();
         for bag in &bdd.bags {
-            let parts = bdd.face_parts_of(bag);
+            let parts = bdd.face_parts_of(&g, bag);
             assert!(
                 (parts as f64) <= 4.0 * logn + 4.0,
                 "bag {} at level {} has {} face-parts (log n = {logn:.1})",

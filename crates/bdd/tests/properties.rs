@@ -6,7 +6,7 @@ use duality_congest::{CostLedger, CostModel};
 use duality_planar::gen;
 use proptest::prelude::*;
 
-fn build(g: &duality_planar::PlanarGraph, threshold: usize) -> Bdd<'_> {
+fn build(g: &duality_planar::PlanarGraph, threshold: usize) -> Bdd {
     let cm = CostModel::new(g.num_vertices(), g.diameter());
     let mut ledger = CostLedger::new();
     Bdd::build(
@@ -51,7 +51,7 @@ proptest! {
         let bdd = build(&g, threshold);
         let bound = 4.0 * (g.num_vertices() as f64).log2() + 4.0;
         for bag in &bdd.bags {
-            prop_assert!((bdd.face_parts_of(bag) as f64) <= bound);
+            prop_assert!((bdd.face_parts_of(&g, bag) as f64) <= bound);
         }
     }
 
@@ -65,7 +65,7 @@ proptest! {
         let g = gen::apollonian(n, seed).unwrap();
         let bdd = build(&g, threshold);
         for bag in &bdd.bags {
-            prop_assert!(dual_bags::check_assembly(&bdd, bag), "bag {}", bag.id);
+            prop_assert!(dual_bags::check_assembly(&g, &bdd, bag), "bag {}", bag.id);
         }
     }
 

@@ -1,10 +1,14 @@
 //! Criterion benches for the flow pipelines (experiments F1/F2/T2
-//! wall-clock counterparts).
+//! wall-clock counterparts). Every iteration builds a fresh solver, so the
+//! substrate build is part of the measured time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use duality_core::approx_flow::approx_max_st_flow;
-use duality_core::max_flow::{max_st_flow, MaxFlowOptions};
-use duality_planar::gen;
+use duality_core::PlanarSolver;
+use duality_planar::{gen, PlanarGraph, Weight};
+
+fn fresh(g: &PlanarGraph, caps: &[Weight]) -> PlanarSolver {
+    PlanarSolver::builder(g).capacities(caps).build().unwrap()
+}
 
 fn bench_exact_flow(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_max_flow");
@@ -17,15 +21,10 @@ fn bench_exact_flow(c: &mut Criterion) {
             &g,
             |b, g| {
                 b.iter(|| {
-                    max_st_flow(
-                        g,
-                        &caps,
-                        0,
-                        g.num_vertices() - 1,
-                        &MaxFlowOptions::default(),
-                    )
-                    .unwrap()
-                    .value
+                    fresh(g, &caps)
+                        .max_flow(0, g.num_vertices() - 1)
+                        .unwrap()
+                        .value
                 })
             },
         );
@@ -42,7 +41,14 @@ fn bench_approx_flow(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("eps_inv_{k}")),
             &k,
-            |b, &k| b.iter(|| approx_max_st_flow(&g, &caps, 0, 11, k).unwrap().value_numer),
+            |b, &k| {
+                b.iter(|| {
+                    fresh(&g, &caps)
+                        .approx_max_flow(0, 11, k)
+                        .unwrap()
+                        .value_numer
+                })
+            },
         );
     }
     group.finish();

@@ -1,9 +1,17 @@
 //! Criterion benches for the girth and global-cut pipelines (F3/F4
-//! wall-clock counterparts).
+//! wall-clock counterparts). Every iteration builds a fresh solver, so the
+//! substrate build is part of the measured time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use duality_core::{girth::weighted_girth, global_cut::directed_global_min_cut};
-use duality_planar::gen;
+use duality_core::PlanarSolver;
+use duality_planar::{gen, PlanarGraph, Weight};
+
+fn fresh(g: &PlanarGraph, weights: &[Weight]) -> PlanarSolver {
+    PlanarSolver::builder(g)
+        .edge_weights(weights)
+        .build()
+        .unwrap()
+}
 
 fn bench_girth(c: &mut Criterion) {
     let mut group = c.benchmark_group("weighted_girth");
@@ -14,7 +22,7 @@ fn bench_girth(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{n}x{n}")),
             &g,
-            |b, g| b.iter(|| weighted_girth(g, &w).unwrap().girth),
+            |b, g| b.iter(|| fresh(g, &w).girth().unwrap().girth),
         );
     }
     group.finish();
@@ -29,7 +37,7 @@ fn bench_global_cut(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{w}x{h}")),
             &g,
-            |b, g| b.iter(|| directed_global_min_cut(g, &weights).unwrap().value),
+            |b, g| b.iter(|| fresh(g, &weights).global_min_cut().unwrap().value),
         );
     }
     group.finish();

@@ -3,21 +3,24 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use duality_congest::{CostLedger, CostModel};
+use duality_core::PlanarSolver;
 use duality_labeling::DualSsspEngine;
 use duality_planar::gen;
+use std::sync::Arc;
 
 fn bench_labeling(c: &mut Criterion) {
     let mut group = c.benchmark_group("dual_labels");
     group.sample_size(10);
     for (w, h) in [(8usize, 8usize), (12, 8), (16, 10)] {
         let g = gen::diag_grid(w, h, 11).unwrap();
-        let cm = CostModel::new(g.num_vertices(), g.diameter());
-        let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, None, &mut ledger);
         let lengths: Vec<i64> = (0..g.num_darts()).map(|i| (i as i64 % 9) + 1).collect();
+        let solver = PlanarSolver::builder(&g)
+            .capacities(&lengths)
+            .build()
+            .unwrap();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{w}x{h}")),
-            &engine,
+            solver.labeling_engine(),
             |b, engine| {
                 b.iter(|| {
                     let mut l = CostLedger::new();
@@ -33,12 +36,12 @@ fn bench_labeling(c: &mut Criterion) {
 fn bench_engine_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_build");
     group.sample_size(10);
-    let g = gen::diag_grid(12, 10, 11).unwrap();
+    let g = Arc::new(gen::diag_grid(12, 10, 11).unwrap());
     let cm = CostModel::new(g.num_vertices(), g.diameter());
     group.bench_function("12x10", |b| {
         b.iter(|| {
             let mut ledger = CostLedger::new();
-            DualSsspEngine::new(&g, &cm, None, &mut ledger);
+            DualSsspEngine::new(Arc::clone(&g), &cm, None, &mut ledger);
             ledger.total()
         })
     });

@@ -1,11 +1,10 @@
 //! Solver-level wall-clock bench: substrate reuse. `N` distinct queries
 //! issued against one `PlanarSolver` (the BDD, dual bags and diameter
-//! measurement are built once and cached) vs the same `N` queries through
-//! the pre-solver free functions (every call rebuilds the substrate).
+//! measurement are built once and cached) vs the same `N` queries each on
+//! a fresh solver (every query rebuilds the substrate).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use duality_core::max_flow::{max_st_flow, MaxFlowOptions};
-use duality_core::{girth, global_cut, PlanarSolver, Query};
+use duality_core::{PlanarSolver, Query};
 use duality_planar::{gen, PlanarGraph, Weight};
 
 fn query_pairs(g: &PlanarGraph, w: usize) -> [(usize, usize); 4] {
@@ -29,9 +28,8 @@ fn bench_flow_batch(c: &mut Criterion) {
                     pairs
                         .iter()
                         .map(|&(s, t)| {
-                            max_st_flow(g, &caps, s, t, &MaxFlowOptions::default())
-                                .unwrap()
-                                .value
+                            let solver = PlanarSolver::builder(g).capacities(&caps).build();
+                            solver.unwrap().max_flow(s, t).unwrap().value
                         })
                         .sum::<Weight>()
                 })
@@ -66,15 +64,18 @@ fn bench_mixed_batch(c: &mut Criterion) {
     let weights = gen::random_edge_weights(g.num_edges(), 1, 9, 9);
     let (s, t) = (0, g.num_vertices() - 1);
 
+    let fresh = || {
+        PlanarSolver::builder(&g)
+            .capacities(&caps)
+            .edge_weights(&weights)
+            .build()
+            .unwrap()
+    };
     group.bench_function("cold: flow+global+girth", |b| {
         b.iter(|| {
-            let f = max_st_flow(&g, &caps, s, t, &MaxFlowOptions::default())
-                .unwrap()
-                .value;
-            let c2 = global_cut::directed_global_min_cut(&g, &weights)
-                .unwrap()
-                .value;
-            let g2 = girth::weighted_girth(&g, &weights).unwrap().girth;
+            let f = fresh().max_flow(s, t).unwrap().value;
+            let c2 = fresh().global_min_cut().unwrap().value;
+            let g2 = fresh().girth().unwrap().girth;
             black_box(f + c2 + g2)
         })
     });

@@ -3,16 +3,28 @@
 use crate::workloads::{self, Instance};
 use crate::Row;
 use duality_baselines::{cuts, flow as bflow, girth as bgirth, prior};
-use duality_bdd::{dual_bags, Bdd, BddOptions, DualBag};
 use duality_congest::{CostLedger, CostModel};
-use duality_core::{approx_flow, girth, global_cut, max_flow, st_cut, PlanarSolver, Query};
-use duality_labeling::DualSsspEngine;
+use duality_core::{PlanarSolver, Query};
 use duality_overlay::FaceDisjointGraph;
-use duality_planar::{gen, PlanarGraph};
+use duality_planar::{gen, PlanarGraph, Weight};
 
 fn cm_of(g: &PlanarGraph) -> (CostModel, usize) {
     let d = g.diameter();
     (CostModel::new(g.num_vertices(), d), d)
+}
+
+/// A fresh solver over per-dart capacities: every query on it pays its
+/// own substrate, so its round bill is that of one cold query.
+fn cap_solver(g: &PlanarGraph, caps: &[Weight]) -> PlanarSolver {
+    PlanarSolver::builder(g).capacities(caps).build().unwrap()
+}
+
+/// A fresh solver over per-edge weights (see [`cap_solver`]).
+fn weight_solver(g: &PlanarGraph, weights: &[Weight]) -> PlanarSolver {
+    PlanarSolver::builder(g)
+        .edge_weights(weights)
+        .build()
+        .unwrap()
 }
 
 /// T1 — end-to-end correctness of all five theorems against centralized
@@ -38,22 +50,22 @@ pub fn t1_correctness(seed: u64) -> Vec<Row> {
         // Exact max flow (Theorem 1.2).
         let caps = gen::random_directed_capacities(g.num_edges(), 0, 9, seed + 11);
         let (s, t) = (0, n - 1);
-        let r = max_flow::max_st_flow(&g, &caps, s, t, &Default::default()).unwrap();
+        let r = cap_solver(&g, &caps).max_flow(s, t).unwrap();
         let want = bflow::planar_max_flow_reference(&g, &caps, s, t);
         duality_core::verify::assert_valid_flow(&g, &caps, &r.flow, s, t, r.value);
         push(
             "max-flow (Thm 1.2)",
             r.value == want,
-            r.ledger.total() as f64,
+            r.rounds.total() as f64,
         );
 
         // Exact min st-cut (Theorem 6.1).
-        let c = st_cut::exact_min_st_cut(&g, &caps, s, t, &Default::default()).unwrap();
+        let c = cap_solver(&g, &caps).min_st_cut(s, t).unwrap();
         let cut_cap: i64 = c.cut_darts.iter().map(|dd| caps[dd.index()]).sum();
         push(
             "min-st-cut (Thm 6.1)",
             c.value == want && cut_cap == want,
-            c.ledger.total() as f64,
+            c.rounds.total() as f64,
         );
 
         // Approximate st-planar flow (Theorem 1.3): s, t on the outer face.
@@ -64,28 +76,28 @@ pub fn t1_correctness(seed: u64) -> Vec<Row> {
         on_outer.dedup();
         let (us, ut) = (on_outer[0], *on_outer.last().unwrap());
         if us != ut {
-            let a = approx_flow::approx_max_st_flow(&g, &ucaps, us, ut, 4).unwrap();
+            let a = cap_solver(&g, &ucaps).approx_max_flow(us, ut, 4).unwrap();
             let exact = bflow::planar_max_flow_reference(&g, &ucaps, us, ut);
             let ok = a.value_numer <= exact * a.denom && a.value_numer * 5 >= exact * a.denom * 4;
-            push("approx-flow ε=1/4 (Thm 1.3)", ok, a.ledger.total() as f64);
+            push("approx-flow ε=1/4 (Thm 1.3)", ok, a.rounds.total() as f64);
 
-            let (cv, cedges, cl) = st_cut::approx_min_st_cut(&g, &ucaps, us, ut, 4).unwrap();
-            let ok = duality_core::verify::cut_separates(&g, &cedges, us, ut)
-                && cv >= exact
-                && cv * 4 <= exact * 5;
-            push("approx-st-cut ε=1/4 (Thm 6.2)", ok, cl.total() as f64);
+            let c = cap_solver(&g, &ucaps).approx_min_st_cut(us, ut, 4).unwrap();
+            let ok = duality_core::verify::cut_separates(&g, &c.cut_edges, us, ut)
+                && c.value >= exact
+                && c.value * 4 <= exact * 5;
+            push("approx-st-cut ε=1/4 (Thm 6.2)", ok, c.rounds.total() as f64);
         }
 
         // Directed global min cut (Theorem 1.5).
         let w = gen::random_edge_weights(g.num_edges(), 1, 9, seed + 17);
-        let gc = global_cut::directed_global_min_cut(&g, &w).unwrap();
+        let gc = weight_solver(&g, &w).global_min_cut().unwrap();
         let ok = Some(gc.value) == cuts::planar_directed_min_cut_reference(&g, &w);
-        push("global-min-cut (Thm 1.5)", ok, gc.ledger.total() as f64);
+        push("global-min-cut (Thm 1.5)", ok, gc.rounds.total() as f64);
 
         // Weighted girth (Theorem 1.7).
-        let gr = girth::weighted_girth(&g, &w).unwrap();
+        let gr = weight_solver(&g, &w).girth().unwrap();
         let ok = Some(gr.girth) == bgirth::planar_weighted_girth(&g, &w);
-        push("girth (Thm 1.7)", ok, gr.ledger.total() as f64);
+        push("girth (Thm 1.7)", ok, gr.rounds.total() as f64);
     }
     rows
 }
@@ -97,23 +109,22 @@ pub fn f1_flow_rounds_vs_d(sides: &[usize], seed: u64) -> Vec<Row> {
     for Instance { name, graph: g } in workloads::square_sweep(sides, seed) {
         let (_, d) = cm_of(&g);
         let caps = gen::random_directed_capacities(g.num_edges(), 1, 8, seed + 3);
-        let r =
-            max_flow::max_st_flow(&g, &caps, 0, g.num_vertices() - 1, &Default::default()).unwrap();
+        let r = cap_solver(&g, &caps)
+            .max_flow(0, g.num_vertices() - 1)
+            .unwrap();
+        let rounds = r.rounds.total() as f64;
         rows.push(Row {
             experiment: "F1".into(),
             instance: name,
             n: g.num_vertices(),
             d,
             values: vec![
-                ("rounds".into(), r.ledger.total() as f64),
-                ("rounds/D".into(), r.ledger.total() as f64 / d as f64),
-                (
-                    "rounds/D^2".into(),
-                    r.ledger.total() as f64 / (d * d) as f64,
-                ),
+                ("rounds".into(), rounds),
+                ("rounds/D".into(), rounds / d as f64),
+                ("rounds/D^2".into(), rounds / (d * d) as f64),
                 (
                     "rounds/(D^2 logn)".into(),
-                    r.ledger.total() as f64 / ((d * d) as f64 * (g.num_vertices() as f64).log2()),
+                    rounds / ((d * d) as f64 * (g.num_vertices() as f64).log2()),
                 ),
                 ("probes".into(), f64::from(r.probes)),
             ],
@@ -130,22 +141,21 @@ pub fn f2_flow_rounds_vs_n(seed: u64) -> Vec<Row> {
     for Instance { name, graph: g } in workloads::size_sweep(4, &[20, 30, 45, 60, 80], seed) {
         let (_, d) = cm_of(&g);
         let caps = gen::random_directed_capacities(g.num_edges(), 1, 8, seed + 5);
-        let r =
-            max_flow::max_st_flow(&g, &caps, 0, g.num_vertices() - 1, &Default::default()).unwrap();
+        let r = cap_solver(&g, &caps)
+            .max_flow(0, g.num_vertices() - 1)
+            .unwrap();
+        let rounds = r.rounds.total() as f64;
         rows.push(Row {
             experiment: "F2".into(),
             instance: name,
             n: g.num_vertices(),
             d,
             values: vec![
-                ("rounds".into(), r.ledger.total() as f64),
-                (
-                    "rounds/D^2".into(),
-                    r.ledger.total() as f64 / (d * d) as f64,
-                ),
+                ("rounds".into(), rounds),
+                ("rounds/D^2".into(), rounds / (d * d) as f64),
                 (
                     "rounds/sqrt(n)D".into(),
-                    r.ledger.total() as f64 / ((g.num_vertices() as f64).sqrt() * d as f64),
+                    rounds / ((g.num_vertices() as f64).sqrt() * d as f64),
                 ),
             ],
         });
@@ -161,15 +171,15 @@ pub fn f3_girth_rounds_vs_d(target_n: usize, seed: u64) -> Vec<Row> {
     for Instance { name, graph: g } in workloads::diameter_sweep(target_n, seed) {
         let (_, d) = cm_of(&g);
         let w = gen::random_edge_weights(g.num_edges(), 1, 50, seed + 7);
-        let r = girth::weighted_girth(&g, &w).unwrap();
+        let rounds = weight_solver(&g, &w).girth().unwrap().rounds.total() as f64;
         rows.push(Row {
             experiment: "F3".into(),
             instance: name,
             n: g.num_vertices(),
             d,
             values: vec![
-                ("rounds".into(), r.ledger.total() as f64),
-                ("rounds/D".into(), r.ledger.total() as f64 / d as f64),
+                ("rounds".into(), rounds),
+                ("rounds/D".into(), rounds / d as f64),
             ],
         });
     }
@@ -187,7 +197,7 @@ pub fn t2_approx_quality(seed: u64) -> Vec<Row> {
     let (_, d) = cm_of(&g);
     let mut rows = Vec::new();
     for k in [1u64, 2, 4, 8, 16, 0] {
-        let r = approx_flow::approx_max_st_flow(&g, &caps, s, t, k).unwrap();
+        let r = cap_solver(&g, &caps).approx_max_flow(s, t, k).unwrap();
         let ratio = r.value_numer as f64 / (r.denom as f64 * exact as f64);
         let guarantee = if k == 0 {
             1.0
@@ -206,7 +216,7 @@ pub fn t2_approx_quality(seed: u64) -> Vec<Row> {
             values: vec![
                 ("ratio*1000".into(), ratio * 1000.0),
                 ("guarantee*1000".into(), guarantee * 1000.0),
-                ("rounds".into(), r.ledger.total() as f64),
+                ("rounds".into(), r.rounds.total() as f64),
             ],
         });
     }
@@ -220,8 +230,9 @@ pub fn f4_global_cut(sides: &[usize], seed: u64) -> Vec<Row> {
     for Instance { name, graph: g } in workloads::square_sweep(sides, seed) {
         let (_, d) = cm_of(&g);
         let w = gen::random_edge_weights(g.num_edges(), 1, 30, seed + 19);
-        let r = global_cut::directed_global_min_cut(&g, &w).unwrap();
+        let r = weight_solver(&g, &w).global_min_cut().unwrap();
         let ok = Some(r.value) == cuts::planar_directed_min_cut_reference(&g, &w);
+        let rounds = r.rounds.total() as f64;
         rows.push(Row {
             experiment: "F4".into(),
             instance: name,
@@ -229,11 +240,8 @@ pub fn f4_global_cut(sides: &[usize], seed: u64) -> Vec<Row> {
             d,
             values: vec![
                 ("ok".into(), f64::from(u8::from(ok))),
-                ("rounds".into(), r.ledger.total() as f64),
-                (
-                    "rounds/D^2".into(),
-                    r.ledger.total() as f64 / (d * d) as f64,
-                ),
+                ("rounds".into(), rounds),
+                ("rounds/D^2".into(), rounds / (d * d) as f64),
             ],
         });
     }
@@ -244,11 +252,13 @@ pub fn f4_global_cut(sides: &[usize], seed: u64) -> Vec<Row> {
 pub fn f5_label_sizes(sides: &[usize], seed: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for Instance { name, graph: g } in workloads::square_sweep(sides, seed) {
-        let (cm, d) = cm_of(&g);
-        let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, None, &mut ledger);
+        let (_, d) = cm_of(&g);
         let lengths = vec![1; g.num_darts()];
-        let labels = engine.labels(&lengths, &mut ledger).unwrap();
+        let solver = cap_solver(&g, &lengths);
+        let labels = solver
+            .labeling_engine()
+            .labels(&lengths, &mut CostLedger::new())
+            .unwrap();
         let words: Vec<u64> = g.faces().map(|f| labels.label_words(f)).collect();
         let max = *words.iter().max().unwrap() as f64;
         let avg = words.iter().sum::<u64>() as f64 / words.len() as f64;
@@ -272,17 +282,19 @@ pub fn t4_bdd_stats(seed: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for (w, h) in [(10usize, 10usize), (16, 16), (24, 16), (24, 24)] {
         let g = gen::diag_grid(w, h, seed).unwrap();
-        let (cm, d) = cm_of(&g);
-        let mut ledger = CostLedger::new();
-        let bdd = Bdd::build(&g, &BddOptions::default(), &cm, &mut ledger);
+        let (_, d) = cm_of(&g);
+        // The solver's engine holds the default-threshold BDD and every
+        // non-leaf bag's F_X.
+        let solver = weight_solver(&g, &vec![1; g.num_edges()]);
+        let engine = solver.labeling_engine();
+        let bdd = &engine.bdd;
         let mut max_parts = 0usize;
         let mut max_fx = 0usize;
         let mut max_sep = 0usize;
         for bag in &bdd.bags {
-            max_parts = max_parts.max(bdd.face_parts_of(bag));
+            max_parts = max_parts.max(bdd.face_parts_of(&g, bag));
             if !bag.is_leaf() {
-                let dual = DualBag::of_bag(&g, bag);
-                max_fx = max_fx.max(dual_bags::dual_separator(&bdd, bag, &dual).len());
+                max_fx = max_fx.max(engine.fx[bag.id].len());
                 max_sep = max_sep.max(bag.separator.as_ref().unwrap().vertices.len());
             }
         }
@@ -503,25 +515,20 @@ pub fn a1_leaf_threshold_ablation(seed: u64) -> Vec<Row> {
         ("16·D".to_string(), 16 * (cm.d + 1)),
         ("whole graph".to_string(), g.num_edges() + 1),
     ] {
-        let r = max_flow::max_st_flow(
-            &g,
-            &caps,
-            0,
-            g.num_vertices() - 1,
-            &max_flow::MaxFlowOptions {
-                leaf_threshold: Some(threshold),
-            },
-        )
-        .unwrap();
-        let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, Some(threshold), &mut ledger);
+        let solver = PlanarSolver::builder(&g)
+            .capacities(&caps)
+            .with_leaf_threshold(Some(threshold))
+            .build()
+            .unwrap();
+        let r = solver.max_flow(0, g.num_vertices() - 1).unwrap();
+        let engine = solver.labeling_engine();
         rows.push(Row {
             experiment: "A1".into(),
             instance: format!("leaf threshold {label}"),
             n: g.num_vertices(),
             d,
             values: vec![
-                ("rounds".into(), r.ledger.total() as f64),
+                ("rounds".into(), r.rounds.total() as f64),
                 ("bdd-depth".into(), engine.bdd.depth() as f64),
                 ("bags".into(), engine.bdd.bags.len() as f64),
             ],
@@ -539,10 +546,11 @@ pub fn a2_probe_cost_split(seed: u64) -> Vec<Row> {
         let g = gen::diag_grid(k, k, seed).unwrap();
         let (_, d) = cm_of(&g);
         let caps = gen::random_directed_capacities(g.num_edges(), 1, 8, seed + 29);
-        let r =
-            max_flow::max_st_flow(&g, &caps, 0, g.num_vertices() - 1, &Default::default()).unwrap();
-        let setup = r.ledger.phase_total("bdd-build") + r.ledger.phase_total("bdd-face-ids");
-        let labeling = r.ledger.phase_total("labeling-broadcast");
+        let r = cap_solver(&g, &caps)
+            .max_flow(0, g.num_vertices() - 1)
+            .unwrap();
+        let setup = r.rounds.phase_total("bdd-build") + r.rounds.phase_total("bdd-face-ids");
+        let labeling = r.rounds.phase_total("labeling-broadcast");
         rows.push(Row {
             experiment: "A2".into(),
             instance: format!("diag-grid {k}x{k}"),
@@ -560,8 +568,8 @@ pub fn a2_probe_cost_split(seed: u64) -> Vec<Row> {
 }
 
 /// S1 — substrate reuse through the `PlanarSolver` façade: a batch of
-/// distinct queries issued cold (one engine per call, the pre-solver free
-/// functions) vs warm (one solver, one cached engine). The reproducible
+/// distinct queries issued cold (a fresh solver, hence a fresh engine, per
+/// query) vs warm (one solver, one cached engine). The reproducible
 /// signal: warm total rounds ≈ cold total − (batch−1)·substrate, and the
 /// engine is built exactly once.
 pub fn s1_substrate_reuse(seed: u64) -> Vec<Row> {
@@ -573,19 +581,7 @@ pub fn s1_substrate_reuse(seed: u64) -> Vec<Row> {
         let weights = gen::random_edge_weights(g.num_edges(), 1, 9, seed + 37);
         let pairs = [(0, n - 1), (w - 1, n - w), (0, n - w), (w - 1, n - 1)];
 
-        // Cold: every call pays its own diameter measurement + BDD.
-        let mut cold_rounds = 0u64;
-        for &(s, t) in &pairs {
-            cold_rounds += max_flow::max_st_flow(&g, &caps, s, t, &Default::default())
-                .unwrap()
-                .ledger
-                .total();
-        }
-        cold_rounds += global_cut::directed_global_min_cut(&g, &weights)
-            .unwrap()
-            .ledger
-            .total();
-        cold_rounds += girth::weighted_girth(&g, &weights).unwrap().ledger.total();
+        let cold_rounds = cold_bill(&g, &caps, &weights, &pairs);
 
         // Warm: one solver, substrate charged once.
         let solver = PlanarSolver::builder(&g)
@@ -627,10 +623,31 @@ pub fn s1_substrate_reuse(seed: u64) -> Vec<Row> {
     rows
 }
 
+/// S1's cold bill: each of the four max-flows, the global cut and the
+/// girth on its own fresh solver, so every query pays its own diameter
+/// measurement and substrate.
+fn cold_bill(
+    g: &PlanarGraph,
+    caps: &[Weight],
+    weights: &[Weight],
+    pairs: &[(usize, usize)],
+) -> u64 {
+    let mut rounds: u64 = pairs
+        .iter()
+        .map(|&(s, t)| cap_solver(g, caps).max_flow(s, t).unwrap().rounds.total())
+        .sum();
+    rounds += weight_solver(g, weights)
+        .global_min_cut()
+        .unwrap()
+        .rounds
+        .total();
+    rounds + weight_solver(g, weights).girth().unwrap().rounds.total()
+}
+
 /// S2 — warm batch throughput through the typed query layer: the
 /// six-query S1 workload (four max-flows, one global cut, one girth) plus
-/// one duplicate, executed three ways on fresh solvers — **cold** via the
-/// legacy free functions, **warm-serial** via `run(Query)` one at a time,
+/// one duplicate, executed three ways on fresh solvers — **cold** with a
+/// fresh solver per query, **warm-serial** via `run(Query)` one at a time,
 /// and **warm-batched** via `run_batch_on` across a thread sweep. The
 /// reproducible signal: the batched CONGEST bill equals the warm-serial
 /// bill on every thread count (substrate charged once, duplicate billed
@@ -659,19 +676,7 @@ pub fn s2_batch_throughput(seed: u64) -> Vec<Row> {
                 .unwrap()
         };
 
-        // Cold: every call pays its own diameter measurement + BDD.
-        let mut cold_rounds = 0u64;
-        for &(s, t) in &pairs {
-            cold_rounds += max_flow::max_st_flow(&g, &caps, s, t, &Default::default())
-                .unwrap()
-                .ledger
-                .total();
-        }
-        cold_rounds += global_cut::directed_global_min_cut(&g, &weights)
-            .unwrap()
-            .ledger
-            .total();
-        cold_rounds += girth::weighted_girth(&g, &weights).unwrap().ledger.total();
+        let cold_rounds = cold_bill(&g, &caps, &weights, &pairs);
 
         // Warm serial: one solver, one query at a time (duplicate re-run).
         let serial = fresh_solver();

@@ -34,7 +34,6 @@ use crate::{CostLedger, Rounds};
 /// assert_eq!(report.total(), 500);
 /// assert_eq!(report.substrate_total(), 200);
 /// assert_eq!(report.query_total(), 300);
-/// assert_eq!(report.into_ledger().total(), 500);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RoundReport {
@@ -129,16 +128,6 @@ impl RoundReport {
         self.query.absorb(&other.query);
     }
 
-    /// Flattens the report into a single ledger (topology phases first,
-    /// then weight, then query), the shape the pre-solver free functions
-    /// report.
-    pub fn into_ledger(self) -> CostLedger {
-        let mut out = self.substrate_topo;
-        out.absorb(&self.substrate_weight);
-        out.absorb(&self.query);
-        out
-    }
-
     /// Merges a batch of per-query marginal ledgers against **one** pair
     /// of substrate snapshots — the bill of a deduplicated solver batch:
     /// each substrate tier is charged exactly once, the query share is the
@@ -230,9 +219,6 @@ mod tests {
         assert_eq!(r.query_total(), 101);
         assert_eq!(r.phase_total("bdd-build"), 11);
         assert_eq!(r.phase_total("labeling-broadcast"), 107);
-        let merged = r.into_ledger();
-        assert_eq!(merged.total(), 123);
-        assert_eq!(merged.phase_total("bdd-build"), 11);
     }
 
     #[test]

@@ -18,131 +18,17 @@
 //! every feasibility check exact integer arithmetic. Zero-capacity edges
 //! are handled by the paper's contraction trick (executed for real in the
 //! minor-aggregation model).
+//!
+//! Run it through [`crate::solver::PlanarSolver::approx_max_flow`] (or
+//! [`crate::solver::Query::ApproxMaxFlow`]).
 
-use crate::solver::PlanarSolver;
+use crate::error::DualityError;
 use duality_congest::{CostLedger, CostModel};
 use duality_minor_agg::{MaEdge, MinorAgg};
 use duality_planar::{dual::DualView, Dart, FaceId, PlanarGraph, Weight};
 
-/// Errors from the approximate flow pipeline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StPlanarError {
-    /// `s` and `t` do not lie on a common face (the instance is not
-    /// st-planar), or endpoints are invalid.
-    NotStPlanar,
-    /// Capacities are not symmetric per edge (the instance must be
-    /// undirected) or negative.
-    NotUndirected,
-}
-
-impl std::fmt::Display for StPlanarError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StPlanarError::NotStPlanar => write!(f, "s and t do not share a face"),
-            StPlanarError::NotUndirected => {
-                write!(f, "capacities must be symmetric and non-negative")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StPlanarError {}
-
-/// Result of the approximate st-planar max-flow: a rational flow
-/// `flow_numer[d] / denom` per dart.
-#[derive(Clone, Debug)]
-pub struct ApproxFlowResult {
-    /// Flow value numerator (value = `value_numer / denom`).
-    pub value_numer: Weight,
-    /// Common denominator (`k + 1` for approximation parameter `ε = 1/k`;
-    /// 1 in exact mode).
-    pub denom: Weight,
-    /// Per-dart flow numerators (antisymmetric).
-    pub flow_numer: Vec<Weight>,
-    /// The two dual faces created by the artificial edge.
-    pub f1: FaceId,
-    /// See [`ApproxFlowResult::f1`].
-    pub f2: FaceId,
-    /// CONGEST rounds charged.
-    pub ledger: CostLedger,
-}
-
-/// Computes a `(1 − 1/(k+1))`-approximate maximum st-flow of an undirected
-/// st-planar instance. `eps_inverse = k ≥ 1` selects the approximation
-/// (`ε = 1/k`); `k = 0` runs the exact-oracle substitution (`denom = 1`).
-///
-/// `caps` are per-dart capacities with `caps[2e] == caps[2e+1]`.
-///
-/// # Errors
-///
-/// [`StPlanarError::NotStPlanar`] if `s`, `t` share no face;
-/// [`StPlanarError::NotUndirected`] on asymmetric or negative capacities.
-///
-/// # Example
-///
-/// ```
-/// use duality_core::approx_flow::approx_max_st_flow;
-/// use duality_planar::gen;
-///
-/// let g = gen::grid(4, 4).unwrap();
-/// let caps = gen::random_undirected_capacities(g.num_edges(), 1, 5, 2);
-/// // Corners 0 and 12 both lie on the outer face.
-/// let r = approx_max_st_flow(&g, &caps, 0, 12, 0).unwrap();
-/// assert!(r.value_numer > 0);
-/// ```
-pub fn approx_max_st_flow(
-    g: &PlanarGraph,
-    caps: &[Weight],
-    s: usize,
-    t: usize,
-    eps_inverse: u64,
-) -> Result<ApproxFlowResult, StPlanarError> {
-    validate_st_planar(g, caps, s, t)?;
-    // One-shot wrapper over the solver's query layer (`Query::ApproxMaxFlow`
-    // via the `approx_max_flow` inherent method).
-    let solver = PlanarSolver::builder(g)
-        .capacities(caps)
-        .build()
-        .expect("inputs validated above");
-    let r = solver
-        .approx_max_flow(s, t, eps_inverse)
-        .map_err(crate::error::to_st_planar_error)?;
-    Ok(ApproxFlowResult {
-        value_numer: r.value_numer,
-        denom: r.denom,
-        flow_numer: r.flow_numer,
-        f1: r.f1,
-        f2: r.f2,
-        ledger: r.rounds.into_ledger(),
-    })
-}
-
-/// Shared validation of the two legacy st-planar entry points: endpoints
-/// distinct and in range, capacities symmetric and non-negative.
-///
-/// # Panics
-///
-/// Panics if `caps` is not one capacity per dart.
-pub(crate) fn validate_st_planar(
-    g: &PlanarGraph,
-    caps: &[Weight],
-    s: usize,
-    t: usize,
-) -> Result<(), StPlanarError> {
-    assert_eq!(caps.len(), g.num_darts());
-    if s == t || s >= g.num_vertices() || t >= g.num_vertices() {
-        return Err(StPlanarError::NotStPlanar);
-    }
-    for e in 0..g.num_edges() {
-        if caps[2 * e] != caps[2 * e + 1] || caps[2 * e] < 0 {
-            return Err(StPlanarError::NotUndirected);
-        }
-    }
-    Ok(())
-}
-
-/// Hassin's pipeline proper, shared by the solver and the legacy wrapper.
-/// Inputs are pre-validated except st-planarity, which is discovered here.
+/// What Hassin's pipeline computes: a rational flow `flow_numer[d] /
+/// denom` per dart and the two faces split by the artificial edge.
 pub(crate) struct ApproxFlowOutcome {
     pub value_numer: Weight,
     pub denom: Weight,
@@ -151,6 +37,9 @@ pub(crate) struct ApproxFlowOutcome {
     pub f2: FaceId,
 }
 
+/// Hassin's pipeline proper. Inputs are pre-validated (distinct endpoints,
+/// symmetric non-negative capacities) except st-planarity, which is
+/// discovered here.
 pub(crate) fn run_approx_flow(
     g: &PlanarGraph,
     cm: &CostModel,
@@ -159,7 +48,7 @@ pub(crate) fn run_approx_flow(
     t: usize,
     eps_inverse: u64,
     ledger: &mut CostLedger,
-) -> Result<ApproxFlowOutcome, StPlanarError> {
+) -> Result<ApproxFlowOutcome, DualityError> {
     // Locate a common face of s and t (one PA on Ĝ — paper, Section 6.1).
     ledger.charge("find-common-face", cm.dual_part_wise_aggregation());
     let common = g.faces().find(|&f| {
@@ -172,7 +61,7 @@ pub(crate) fn run_approx_flow(
         has_s && has_t
     });
     let Some(face) = common else {
-        return Err(StPlanarError::NotStPlanar);
+        return Err(DualityError::NotStPlanar { s, t });
     };
 
     // Augment: e = (t, s) inside that face.
@@ -255,13 +144,18 @@ pub(crate) fn run_approx_flow(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::solver::{ApproxFlowReport, PlanarSolver};
+    use crate::DualityError;
     use duality_baselines::flow::planar_max_flow_reference;
-    use duality_planar::gen;
+    use duality_planar::{gen, PlanarGraph, Weight};
+
+    fn solver(g: &PlanarGraph, caps: &[Weight]) -> PlanarSolver {
+        PlanarSolver::builder(g).capacities(caps).build().unwrap()
+    }
 
     /// Exact rational feasibility + approximation checks.
-    fn check(g: &PlanarGraph, caps: &[Weight], s: usize, t: usize, k: u64) -> ApproxFlowResult {
-        let r = approx_max_st_flow(g, caps, s, t, k).unwrap();
+    fn check(g: &PlanarGraph, caps: &[Weight], s: usize, t: usize, k: u64) -> ApproxFlowReport {
+        let r = solver(g, caps).approx_max_flow(s, t, k).unwrap();
         // Antisymmetry + scaled capacity.
         for d in g.darts() {
             assert_eq!(r.flow_numer[d.index()], -r.flow_numer[d.rev().index()]);
@@ -350,8 +244,8 @@ mod tests {
         let caps = gen::random_undirected_capacities(g.num_edges(), 1, 5, 1);
         // Center (12) and corner (0) share no face in a 5x5 grid.
         assert_eq!(
-            approx_max_st_flow(&g, &caps, 0, 12, 0).err(),
-            Some(StPlanarError::NotStPlanar)
+            solver(&g, &caps).approx_max_flow(0, 12, 0).err(),
+            Some(DualityError::NotStPlanar { s: 0, t: 12 })
         );
     }
 
@@ -360,24 +254,20 @@ mod tests {
         let g = gen::grid(3, 3).unwrap();
         let caps = gen::random_directed_capacities(g.num_edges(), 1, 5, 1);
         assert_eq!(
-            approx_max_st_flow(&g, &caps, 0, 2, 0).err(),
-            Some(StPlanarError::NotUndirected)
+            solver(&g, &caps).approx_max_flow(0, 2, 0).err(),
+            Some(DualityError::NotUndirected)
         );
     }
 
     #[test]
     fn symmetric_negative_capacities_rejected_without_panicking() {
-        // Symmetric but negative: must be the NotUndirected error, never a
-        // panic out of the solver builder behind the wrapper.
+        // Symmetric but negative: rejected when the instance is built,
+        // before any st-planar query can run on it.
         let g = gen::grid(3, 3).unwrap();
         let neg = vec![-1; g.num_darts()];
         assert_eq!(
-            approx_max_st_flow(&g, &neg, 0, 2, 2).err(),
-            Some(StPlanarError::NotUndirected)
-        );
-        assert_eq!(
-            crate::st_cut::approx_min_st_cut(&g, &neg, 0, 2, 2).err(),
-            Some(StPlanarError::NotUndirected)
+            PlanarSolver::builder(&g).capacities(neg).build().err(),
+            Some(DualityError::NegativeCapacity { dart: 0 })
         );
     }
 
@@ -386,6 +276,6 @@ mod tests {
         let g = gen::grid(6, 6).unwrap();
         let caps = gen::random_undirected_capacities(g.num_edges(), 1, 5, 4);
         let r = check(&g, &caps, 0, 5, 0);
-        assert!(r.ledger.phase_total("approx-sssp") > 0);
+        assert!(r.rounds.phase_total("approx-sssp") > 0);
     }
 }

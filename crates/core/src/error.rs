@@ -1,23 +1,12 @@
 //! The one error type of the public façade.
 //!
-//! Before the [`crate::solver`] subsystem existed, every pipeline spoke its
-//! own dialect: [`crate::max_flow::FlowError`],
-//! [`crate::approx_flow::StPlanarError`], `duality_planar::PlanarError`,
-//! `duality_labeling::LabelingError`, and ad-hoc `Option` returns for the
-//! global cut and girth. [`DualityError`] collapses all of them: solver
-//! methods return it exclusively, `From` impls lift every per-module error,
-//! and `source()` chains back to the underlying cause where one exists.
+//! Every [`crate::solver::PlanarSolver`] query, builder and pool lookup
+//! fails with [`DualityError`]. The substrate crates' own errors
+//! (`duality_planar::PlanarError`, `duality_labeling::LabelingError`) lift
+//! into it through `From`, and `source()` chains back to them.
 
-use crate::approx_flow::StPlanarError;
-use crate::max_flow::FlowError;
 use duality_labeling::LabelingError;
 use duality_planar::PlanarError;
-
-/// Endpoint placeholder used when lifting legacy, context-free errors
-/// (`FlowError::BadEndpoints`, `StPlanarError::NotStPlanar`) that do not
-/// carry the offending vertices. `Display` omits endpoint numbers when it
-/// appears, so no fabricated values reach diagnostics.
-pub const ENDPOINT_UNKNOWN: usize = usize::MAX;
 
 /// Any failure of the `duality` façade.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,11 +102,7 @@ impl std::fmt::Display for DualityError {
             DualityError::Planar(e) => write!(f, "planar substrate error: {e}"),
             DualityError::Labeling(e) => write!(f, "labeling error: {e}"),
             DualityError::BadEndpoints { s, t, n } => {
-                if *s == ENDPOINT_UNKNOWN || *t == ENDPOINT_UNKNOWN {
-                    write!(f, "invalid source/sink pair")
-                } else {
-                    write!(f, "invalid endpoints s = {s}, t = {t} for {n} vertices")
-                }
+                write!(f, "invalid endpoints s = {s}, t = {t} for {n} vertices")
             }
             DualityError::NegativeCapacity { dart } => {
                 write!(f, "negative capacity on dart {dart}")
@@ -148,11 +133,7 @@ impl std::fmt::Display for DualityError {
                 write!(f, "capacities must be symmetric and non-negative")
             }
             DualityError::NotStPlanar { s, t } => {
-                if *s == ENDPOINT_UNKNOWN || *t == ENDPOINT_UNKNOWN {
-                    write!(f, "s and t do not share a face")
-                } else {
-                    write!(f, "s = {s} and t = {t} do not share a face")
-                }
+                write!(f, "s = {s} and t = {t} do not share a face")
             }
             DualityError::TooSmall { needed, vertices } => {
                 write!(
@@ -190,40 +171,6 @@ impl std::error::Error for DualityError {
     }
 }
 
-/// Maps façade errors back onto the legacy flow dialect — the single
-/// mapping the `max_st_flow` / `exact_min_st_cut` wrappers share.
-///
-/// # Panics
-///
-/// Panics on variants the flow/cut wrappers rule out by prior validation.
-pub(crate) fn to_flow_error(e: DualityError) -> FlowError {
-    match e {
-        DualityError::BadEndpoints { .. } => FlowError::BadEndpoints,
-        DualityError::NegativeCapacity { dart } => FlowError::NegativeCapacity { dart },
-        other => unreachable!("flow wrapper validated its inputs: {other}"),
-    }
-}
-
-/// Maps façade errors back onto the legacy st-planar dialect — shared by
-/// the `approx_max_st_flow` / `approx_min_st_cut` wrappers.
-///
-/// # Panics
-///
-/// Panics on variants the st-planar wrappers rule out by prior validation
-/// (mirroring [`to_flow_error`], so invariant violations surface loudly
-/// instead of masquerading as symmetry failures).
-pub(crate) fn to_st_planar_error(e: DualityError) -> StPlanarError {
-    match e {
-        DualityError::NotStPlanar { .. } | DualityError::BadEndpoints { .. } => {
-            StPlanarError::NotStPlanar
-        }
-        DualityError::NotUndirected | DualityError::NegativeCapacity { .. } => {
-            StPlanarError::NotUndirected
-        }
-        other => unreachable!("st-planar wrapper validated its inputs: {other}"),
-    }
-}
-
 impl From<PlanarError> for DualityError {
     fn from(e: PlanarError) -> Self {
         DualityError::Planar(e)
@@ -233,31 +180,6 @@ impl From<PlanarError> for DualityError {
 impl From<LabelingError> for DualityError {
     fn from(e: LabelingError) -> Self {
         DualityError::Labeling(e)
-    }
-}
-
-impl From<FlowError> for DualityError {
-    fn from(e: FlowError) -> Self {
-        match e {
-            FlowError::BadEndpoints => DualityError::BadEndpoints {
-                s: ENDPOINT_UNKNOWN,
-                t: ENDPOINT_UNKNOWN,
-                n: 0,
-            },
-            FlowError::NegativeCapacity { dart } => DualityError::NegativeCapacity { dart },
-        }
-    }
-}
-
-impl From<StPlanarError> for DualityError {
-    fn from(e: StPlanarError) -> Self {
-        match e {
-            StPlanarError::NotStPlanar => DualityError::NotStPlanar {
-                s: ENDPOINT_UNKNOWN,
-                t: ENDPOINT_UNKNOWN,
-            },
-            StPlanarError::NotUndirected => DualityError::NotUndirected,
-        }
     }
 }
 
@@ -304,33 +226,5 @@ mod tests {
         assert!(e.source().is_some());
         assert!(e.to_string().contains("bag 4"));
         assert!(DualityError::Acyclic.source().is_none());
-    }
-
-    #[test]
-    fn from_impls_lift_legacy_errors() {
-        assert_eq!(
-            DualityError::from(FlowError::NegativeCapacity { dart: 7 }),
-            DualityError::NegativeCapacity { dart: 7 }
-        );
-        assert_eq!(
-            DualityError::from(StPlanarError::NotUndirected),
-            DualityError::NotUndirected
-        );
-        assert!(matches!(
-            DualityError::from(FlowError::BadEndpoints),
-            DualityError::BadEndpoints { .. }
-        ));
-    }
-
-    #[test]
-    fn lifted_context_free_errors_display_without_fabricated_numbers() {
-        assert_eq!(
-            DualityError::from(FlowError::BadEndpoints).to_string(),
-            "invalid source/sink pair"
-        );
-        assert_eq!(
-            DualityError::from(StPlanarError::NotStPlanar).to_string(),
-            "s and t do not share a face"
-        );
     }
 }

@@ -9,71 +9,20 @@
 //! charged at the paper's `Õ(1)` minor-aggregation rounds, see `DESIGN.md`);
 //! (3) mark the cut edges (Lemma 4.17 machinery) — their primal edges are
 //! the minimum cycle.
+//!
+//! Run it through [`crate::solver::PlanarSolver::girth`] (or
+//! [`crate::solver::Query::Girth`]), which caches the dual graph.
 
-use crate::solver::PlanarSolver;
 use duality_baselines::cuts::stoer_wagner;
 use duality_congest::{CostLedger, CostModel};
 use duality_minor_agg::{deactivate_parallel_edges, MaEdge, MinorAgg};
 use duality_planar::{PlanarGraph, Weight};
 
-/// Result of the weighted-girth computation.
-#[derive(Clone, Debug)]
-pub struct GirthResult {
-    /// The weight of the minimum cycle.
-    pub girth: Weight,
-    /// The edges of a minimum-weight cycle (paper: "finds the edges of a
-    /// shortest cycle").
-    pub cycle_edges: Vec<usize>,
-    /// CONGEST rounds charged.
-    pub ledger: CostLedger,
-}
-
-/// Computes the weighted girth of an undirected planar instance with
-/// positive edge weights. Returns `None` for acyclic graphs.
-///
-/// # Panics
-///
-/// Panics if a weight is non-positive (cut–cycle duality needs positive
-/// weights for the minimum cut to be a simple cut).
-///
-/// # Example
-///
-/// ```
-/// use duality_core::girth::weighted_girth;
-/// use duality_planar::gen;
-///
-/// let g = gen::grid(4, 4).unwrap();
-/// let r = weighted_girth(&g, &vec![1; g.num_edges()]).unwrap();
-/// assert_eq!(r.girth, 4);
-/// assert_eq!(r.cycle_edges.len(), 4);
-/// ```
-pub fn weighted_girth(g: &PlanarGraph, weights: &[Weight]) -> Option<GirthResult> {
-    assert_eq!(weights.len(), g.num_edges(), "one weight per edge");
-    assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
-    // One-shot callers pay the solver's embedded-dual construction here;
-    // it is O(m) against the query's O(F³) Stoer–Wagner stage. Repeated
-    // callers should hold a solver (or batch `Query::Girth` alongside
-    // other queries via `run_batch`) to amortize it.
-    let solver = PlanarSolver::builder(g)
-        .edge_weights(weights)
-        .build()
-        .expect("inputs validated above");
-    match solver.girth() {
-        Ok(r) => Some(GirthResult {
-            girth: r.girth,
-            cycle_edges: r.cycle_edges,
-            ledger: r.rounds.into_ledger(),
-        }),
-        Err(crate::DualityError::Acyclic) => None,
-        Err(other) => unreachable!("girth wrapper validated its inputs: {other}"),
-    }
-}
-
-/// The cycle–cut-duality pipeline proper (shared with the solver), phrased
-/// on the embedded dual graph `dual` (dual vertex `i` = face `i` of `g`,
-/// dual edge `e` = primal edge `e` — the construction of
-/// [`duality_planar::dual::dual_graph`], which the solver caches). Inputs
-/// are pre-validated; returns `None` for acyclic instances.
+/// The cycle–cut-duality pipeline proper, phrased on the embedded dual
+/// graph `dual` (dual vertex `i` = face `i` of `g`, dual edge `e` = primal
+/// edge `e` — the construction of [`duality_planar::dual::dual_graph`],
+/// which the solver caches). Inputs are pre-validated; returns `None` for
+/// acyclic instances.
 pub(crate) fn run_girth_on_dual(
     g: &PlanarGraph,
     dual: &PlanarGraph,
@@ -133,15 +82,25 @@ pub(crate) fn run_girth_on_dual(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{GirthReport, PlanarSolver};
+    use crate::DualityError;
     use duality_baselines::girth::planar_weighted_girth;
     use duality_planar::gen;
 
+    fn girth(g: &PlanarGraph, weights: &[Weight]) -> Result<GirthReport, DualityError> {
+        PlanarSolver::builder(g)
+            .edge_weights(weights)
+            .build()
+            .unwrap()
+            .girth()
+    }
+
     fn check(g: &PlanarGraph, weights: &[Weight]) {
-        let got = weighted_girth(g, weights);
+        let got = girth(g, weights);
         let want = planar_weighted_girth(g, weights);
         match (got, want) {
-            (None, None) => {}
-            (Some(r), Some(w)) => {
+            (Err(DualityError::Acyclic), None) => {}
+            (Ok(r), Some(w)) => {
                 assert_eq!(r.girth, w, "girth value");
                 // The reported edges form a cycle of exactly that weight:
                 // every vertex touched an even number of times, total weight
@@ -189,7 +148,7 @@ mod tests {
     fn single_cycle_girth_is_total() {
         let g = gen::cycle(7).unwrap();
         let w: Vec<Weight> = (1..=7).collect();
-        let r = weighted_girth(&g, &w).unwrap();
+        let r = girth(&g, &w).unwrap();
         assert_eq!(r.girth, 28);
         assert_eq!(r.cycle_edges.len(), 7);
     }
@@ -197,18 +156,21 @@ mod tests {
     #[test]
     fn tree_has_no_girth() {
         let g = gen::path(6).unwrap();
-        assert!(weighted_girth(&g, &vec![3; g.num_edges()]).is_none());
+        assert_eq!(
+            girth(&g, &vec![3; g.num_edges()]).err(),
+            Some(DualityError::Acyclic)
+        );
     }
 
     #[test]
     fn rounds_are_otilde_d() {
         let g = gen::grid(6, 6).unwrap();
-        let r = weighted_girth(&g, &vec![2; g.num_edges()]).unwrap();
+        let r = girth(&g, &vec![2; g.num_edges()]).unwrap();
         let d = g.diameter() as u64;
         // Õ(D): at most D · polylog³ with our charging constants.
         let logn = (g.num_vertices() as f64).log2().ceil() as u64;
-        assert!(r.ledger.total() >= d);
-        assert!(r.ledger.total() <= 100 * d * logn.pow(5));
+        assert!(r.rounds.total() >= d);
+        assert!(r.rounds.total() <= 100 * d * logn.pow(5));
     }
 
     #[test]

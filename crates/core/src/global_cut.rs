@@ -34,87 +34,33 @@
 //! one of `C`'s darts (that dart's candidate there is ≤ `w(C)`, since
 //! `C` minus the dart is a path inside that bag's dual avoiding the
 //! reversal) or keeps `C` down to a leaf (the leaf candidate captures it).
+//!
+//! Run it through [`crate::solver::PlanarSolver::global_min_cut`] (or
+//! [`crate::solver::Query::GlobalMinCut`]), which caches the labels.
 
-use crate::solver::PlanarSolver;
 use duality_congest::{CostLedger, CostModel};
-use duality_labeling::{DualLabels, DualSsspEngine};
+use duality_labeling::DualLabels;
 use duality_planar::{Dart, FaceId, PlanarGraph, Weight, INF};
 use std::collections::HashMap;
-
-/// Result of the directed global minimum cut.
-#[derive(Clone, Debug)]
-pub struct GlobalCutResult {
-    /// The cut weight (total weight of edges leaving the `S` side).
-    pub value: Weight,
-    /// `side[v]` is `true` for vertices of `S` (edges `S → V∖S` pay).
-    pub side: Vec<bool>,
-    /// The primal edges crossing the bisection (in either direction).
-    pub cut_edges: Vec<usize>,
-    /// CONGEST rounds charged.
-    pub ledger: CostLedger,
-}
 
 /// A weighted DDG arc: `(from, to, weight, crossing dart if any)`.
 type DdgArc = (usize, usize, Weight, Option<Dart>);
 
-/// Computes the directed global minimum cut of a planar instance where
-/// edge `e` has weight `weights[e]` in its forward direction (reversal
-/// darts are free). Weights must be non-negative.
-///
-/// Returns `None` when `G` has fewer than two vertices.
-///
-/// # Example
-///
-/// ```
-/// use duality_core::global_cut::directed_global_min_cut;
-/// use duality_planar::gen;
-///
-/// let g = gen::cycle(3).unwrap();
-/// let r = directed_global_min_cut(&g, &[5, 7, 9]).unwrap();
-/// assert_eq!(r.value, 5); // the lightest arc of the directed 3-cycle
-/// ```
-pub fn directed_global_min_cut(g: &PlanarGraph, weights: &[Weight]) -> Option<GlobalCutResult> {
-    // One-shot wrapper over the solver's query layer (`Query::GlobalMinCut`
-    // via the `global_min_cut` inherent method); repeated callers should
-    // hold a `PlanarSolver` to amortize the engine build.
-    assert_eq!(weights.len(), g.num_edges(), "one weight per edge");
-    assert!(
-        weights.iter().all(|&w| w >= 0),
-        "weights must be non-negative"
-    );
-    if g.num_vertices() < 2 {
-        return None;
-    }
-    let solver = PlanarSolver::builder(g)
-        .edge_weights(weights)
-        .build()
-        .expect("inputs validated above");
-    let r = solver
-        .global_min_cut()
-        .expect("instance has at least two vertices");
-    Some(GlobalCutResult {
-        value: r.value,
-        side: r.side,
-        cut_edges: r.cut_edges,
-        ledger: r.rounds.into_ledger(),
-    })
-}
-
-/// The cycle–cut pipeline proper (shared with the solver): per-dart
-/// candidates over the BDD bags against the **weight-tier** labels (the
-/// dual labeling at the augmented lengths — forward dart = edge weight,
-/// reversal free — which the solver caches per spec and the one-shot
-/// wrapper computes on the fly), then cycle extraction and bisection.
-/// Inputs are pre-validated, `g` has ≥ 2 vertices, and `labels` were
-/// computed at exactly these weights.
+/// The cycle–cut pipeline proper: per-dart candidates over the BDD bags
+/// against the **weight-tier** labels (the dual labeling at the augmented
+/// lengths — forward dart = edge weight, reversal free — which the solver
+/// caches per spec), then cycle extraction and bisection. The labels
+/// carry the engine they were computed by. Inputs are pre-validated, the
+/// graph has ≥ 2 vertices, and `labels` were computed at exactly these
+/// weights.
 pub(crate) fn run_global_cut(
-    engine: &DualSsspEngine<'_>,
-    labels: &DualLabels<'_, '_>,
+    labels: &DualLabels,
     cm: &CostModel,
     weights: &[Weight],
     ledger: &mut CostLedger,
 ) -> (Weight, Vec<bool>, Vec<usize>) {
-    let g = engine.graph;
+    let engine = labels.engine();
+    let g: &PlanarGraph = &engine.graph;
 
     // Dart lengths: forward = edge weight, reversal = 0 (the lengths the
     // caller labeled at).
@@ -149,7 +95,7 @@ pub(crate) fn run_global_cut(
         } else {
             // Separator darts: avoid-one-arc Dijkstra on the bag's DDG.
             let sep = engine.separator_arcs(bag.id);
-            let (hn, h_arcs, rep) = build_ddg(engine, labels, bag.id, &lengths);
+            let (hn, h_arcs, rep) = build_ddg(labels, bag.id, &lengths);
             for &(from, to, dart) in sep {
                 if let Some(dist) = dijkstra_avoiding(hn, &h_arcs, rep[&to], rep[&from], dart.rev())
                 {
@@ -195,11 +141,11 @@ pub(crate) fn run_global_cut(
 /// links among parts of the same face. Returns `(node_count, arcs,
 /// representative node per face)`.
 fn build_ddg(
-    engine: &DualSsspEngine<'_>,
-    labels: &DualLabels<'_, '_>,
+    labels: &DualLabels,
     bid: usize,
     lengths: &[Weight],
 ) -> (usize, Vec<DdgArc>, HashMap<FaceId, usize>) {
+    let engine = labels.engine();
     let bag = &engine.bdd.bags[bid];
     let fx = &engine.fx[bid];
     let mut nodes: Vec<(usize, FaceId)> = Vec::new();
@@ -338,14 +284,22 @@ fn extract_cycle(g: &PlanarGraph, lengths: &[Weight], best: Dart) -> Vec<Dart> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{GlobalCutReport, PlanarSolver};
     use duality_baselines::cuts::{
         brute_force_directed_min_cut, planar_directed_min_cut_reference,
     };
     use duality_baselines::shortest_paths::Digraph;
     use duality_planar::gen;
 
-    fn check(g: &PlanarGraph, weights: &[Weight]) -> GlobalCutResult {
-        let r = directed_global_min_cut(g, weights).unwrap();
+    fn solver(g: &PlanarGraph, weights: &[Weight]) -> PlanarSolver {
+        PlanarSolver::builder(g)
+            .edge_weights(weights)
+            .build()
+            .unwrap()
+    }
+
+    fn check(g: &PlanarGraph, weights: &[Weight]) -> GlobalCutReport {
+        let r = solver(g, weights).global_min_cut().unwrap();
         // Against the centralized dual-cycle reference.
         assert_eq!(
             Some(r.value),
@@ -432,7 +386,7 @@ mod tests {
         // (Cannot build a 1-vertex connected PlanarGraph with edges, so use
         // the API contract directly on the smallest cycle.)
         let g = gen::cycle(3).unwrap();
-        assert!(directed_global_min_cut(&g, &[1, 1, 1]).is_some());
+        assert!(solver(&g, &[1, 1, 1]).global_min_cut().is_ok());
     }
 
     #[test]
@@ -440,7 +394,7 @@ mod tests {
         let g = gen::grid(6, 6).unwrap();
         let w = gen::random_edge_weights(g.num_edges(), 1, 5, 2);
         let r = check(&g, &w);
-        assert!(r.ledger.phase_total("labeling-broadcast") > 0);
-        assert!(r.ledger.phase_total("globalcut-upcast") > 0);
+        assert!(r.rounds.phase_total("labeling-broadcast") > 0);
+        assert!(r.rounds.phase_total("globalcut-upcast") > 0);
     }
 }

@@ -4,7 +4,7 @@
 //! its dual `G*`, with round charges accumulated in a
 //! [`duality_congest::CostLedger`].
 //!
-//! | module | result | paper | rounds |
+//! | module (pipeline) | result | paper | rounds |
 //! |---|---|---|---|
 //! | [`max_flow`] | exact directed max st-flow | Thm 1.2 | `Õ(D²)` |
 //! | [`approx_flow`] | `(1−ε)`-approx st-planar max flow | Thm 1.3 | `D·n^{o(1)}` |
@@ -17,13 +17,12 @@
 //!
 //! # The `PlanarSolver` façade
 //!
-//! The per-module free functions rebuild the shared substrate (diameter
-//! estimate, dual graph, branch decomposition, labeling engine) on every
-//! call. For repeated queries, build a [`solver::PlanarSolver`] once: the
-//! solver owns its validated [`instance::PlanarInstance`] (`Arc`-shared,
-//! `Send + Sync`), the substrate is cached behind the façade in **two
-//! tiers** — a [`solver::TopoSubstrate`] keyed by the embedding alone and
-//! a weight tier keyed by the current capacities/weights — every query
+//! The modules above hold the pipelines; [`solver::PlanarSolver`] is the
+//! one way to run them. Build a solver once: it owns its validated
+//! [`instance::PlanarInstance`] (`Arc`-shared, `Send + Sync`), the
+//! substrate is cached behind the façade in **two tiers** — a
+//! [`solver::TopoSubstrate`] keyed by the embedding alone and a weight
+//! tier keyed by the current capacities/weights — every query
 //! returns a typed report with a [`duality_congest::RoundReport`] round
 //! split (`substrate_topo` / `substrate_weight` / `query`), and all
 //! failures surface as the one [`DualityError`] type. Requests are
@@ -38,9 +37,7 @@
 //! allocation, and [`solver::PlanarSolver::respec`] shares the whole
 //! topology substrate, rebuilding only the weight tier. The
 //! [`pool::SolverPool`] serving layer puts a keyed, LRU-evicting,
-//! respec-aware registry of cached solvers in front of all of it. The
-//! free functions remain as thin wrappers over the solver for gradual
-//! migration.
+//! respec-aware registry of cached solvers in front of all of it.
 
 pub mod approx_flow;
 pub mod error;

@@ -10,121 +10,28 @@
 //! potentials of the final feasible probe give the flow assignment:
 //! `flow(d) = dist(face(rev d)) − dist(face(d)) (+λ if d ∈ P, −λ if
 //! rev(d) ∈ P)`.
+//!
+//! Run it through [`crate::solver::PlanarSolver::max_flow`] (or
+//! [`crate::solver::Query::MaxFlow`]), which caches the labeling engine
+//! the probes share.
 
-use crate::error::to_flow_error;
-use crate::solver::PlanarSolver;
 use duality_congest::{primitives, CostLedger, CostModel};
 use duality_labeling::{DualSsspEngine, LabelingError};
 use duality_planar::{Dart, PlanarGraph, Weight};
+use std::sync::Arc;
 
-/// Options for [`max_st_flow`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MaxFlowOptions {
-    /// Leaf threshold override for the BDD (`None`: the `Θ(D)` default).
-    pub leaf_threshold: Option<usize>,
-}
-
-/// Result of the exact max-flow computation.
-#[derive(Clone, Debug)]
-pub struct MaxFlowResult {
-    /// The maximum flow value `λ*`.
-    pub value: Weight,
-    /// Net flow per dart: `flow[d] = -flow[rev d]`; a dart carries positive
-    /// flow when `flow[d] > 0`, bounded by its capacity.
-    pub flow: Vec<Weight>,
-    /// CONGEST rounds charged (per-phase breakdown).
-    pub ledger: CostLedger,
-    /// Number of dual-SSSP probes the binary search performed
-    /// (`O(log λ*)`).
-    pub probes: u32,
-}
-
-/// Errors from the flow algorithms.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FlowError {
-    /// `s == t`, or an endpoint is out of range.
-    BadEndpoints,
-    /// A capacity is negative.
-    NegativeCapacity {
-        /// The offending dart index.
-        dart: usize,
-    },
-}
-
-impl std::fmt::Display for FlowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlowError::BadEndpoints => write!(f, "invalid source/sink pair"),
-            FlowError::NegativeCapacity { dart } => {
-                write!(f, "negative capacity on dart {dart}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlowError {}
-
-/// Computes the exact maximum st-flow of a directed planar instance.
-///
-/// `caps[d]` is the capacity of dart `d` (for a plain directed graph set
-/// the backward darts to 0; antiparallel edge pairs may both be positive).
-///
-/// # Errors
-///
-/// [`FlowError::BadEndpoints`] if `s == t` or out of range;
-/// [`FlowError::NegativeCapacity`] on a negative capacity.
-///
-/// # Example
-///
-/// ```
-/// use duality_core::max_flow::{max_st_flow, MaxFlowOptions};
-/// use duality_planar::gen;
-///
-/// let g = gen::grid(4, 4).unwrap();
-/// let caps = gen::random_directed_capacities(g.num_edges(), 1, 5, 3);
-/// let r = max_st_flow(&g, &caps, 0, 15, &MaxFlowOptions::default()).unwrap();
-/// assert!(r.value > 0);
-/// ```
-pub fn max_st_flow(
-    g: &PlanarGraph,
-    caps: &[Weight],
-    s: usize,
-    t: usize,
-    options: &MaxFlowOptions,
-) -> Result<MaxFlowResult, FlowError> {
-    if s == t || s >= g.num_vertices() || t >= g.num_vertices() {
-        return Err(FlowError::BadEndpoints);
-    }
-    assert_eq!(caps.len(), g.num_darts(), "one capacity per dart");
-    let solver = PlanarSolver::builder(g)
-        .capacities(caps)
-        .with_leaf_threshold(crate::solver::clamp_legacy_threshold(
-            options.leaf_threshold,
-        ))
-        .build()
-        .map_err(to_flow_error)?;
-    let r = solver.max_flow(s, t).map_err(to_flow_error)?;
-    Ok(MaxFlowResult {
-        value: r.value,
-        flow: r.flow,
-        ledger: r.rounds.into_ledger(),
-        probes: r.probes,
-    })
-}
-
-/// The Miller–Naor pipeline proper, shared by the solver and the legacy
-/// wrapper: binary search over λ with one dual labeling per probe on the
-/// (cached) engine. Inputs are pre-validated. Returns
-/// `(λ*, per-dart flow, probes)`.
+/// The Miller–Naor pipeline proper: binary search over λ with one dual
+/// labeling per probe on the solver's cached engine. Inputs are
+/// pre-validated. Returns `(λ*, per-dart flow, probes)`.
 pub(crate) fn run_max_flow(
-    engine: &DualSsspEngine<'_>,
+    engine: &Arc<DualSsspEngine>,
     cm: &CostModel,
     caps: &[Weight],
     s: usize,
     t: usize,
     ledger: &mut CostLedger,
 ) -> (Weight, Vec<Weight>, u32) {
-    let g = engine.graph;
+    let g: &PlanarGraph = &engine.graph;
     let path = primitives::st_dart_path(g, s, t, cm, ledger, "st-path").expect("connected graph");
 
     // λ is bounded by the capacity leaving s.
@@ -204,12 +111,14 @@ fn path_markers(g: &PlanarGraph, path: &[Dart]) -> Vec<Weight> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify;
+    use crate::solver::{MaxFlowReport, PlanarSolver};
+    use crate::{verify, DualityError};
     use duality_baselines::flow::planar_max_flow_reference;
     use duality_planar::gen;
 
-    fn check(g: &PlanarGraph, caps: &[Weight], s: usize, t: usize) -> MaxFlowResult {
-        let r = max_st_flow(g, caps, s, t, &MaxFlowOptions::default()).unwrap();
+    fn check(g: &PlanarGraph, caps: &[Weight], s: usize, t: usize) -> MaxFlowReport {
+        let solver = PlanarSolver::builder(g).capacities(caps).build().unwrap();
+        let r = solver.max_flow(s, t).unwrap();
         let want = planar_max_flow_reference(g, caps, s, t);
         assert_eq!(r.value, want, "flow value vs Dinic");
         verify::assert_valid_flow(g, caps, &r.flow, s, t, r.value);
@@ -262,15 +171,16 @@ mod tests {
     fn bad_endpoints_rejected() {
         let g = gen::grid(3, 3).unwrap();
         let caps = vec![1; g.num_darts()];
+        let solver = PlanarSolver::builder(&g).capacities(&caps).build().unwrap();
         assert_eq!(
-            max_st_flow(&g, &caps, 2, 2, &MaxFlowOptions::default()).err(),
-            Some(FlowError::BadEndpoints)
+            solver.max_flow(2, 2).err(),
+            Some(DualityError::BadEndpoints { s: 2, t: 2, n: 9 })
         );
         let mut caps2 = caps;
         caps2[3] = -1;
         assert_eq!(
-            max_st_flow(&g, &caps2, 0, 8, &MaxFlowOptions::default()).err(),
-            Some(FlowError::NegativeCapacity { dart: 3 })
+            PlanarSolver::builder(&g).capacities(caps2).build().err(),
+            Some(DualityError::NegativeCapacity { dart: 3 })
         );
     }
 
@@ -281,6 +191,6 @@ mod tests {
         let r = check(&g, &caps, 0, 15);
         let upper: Weight = g.out_darts(0).iter().map(|&d| caps[d.index()]).sum();
         assert!(u64::from(r.probes) <= 2 + (upper as u64).ilog2() as u64 + 1);
-        assert!(r.ledger.phase_total("labeling-broadcast") > 0);
+        assert!(r.rounds.phase_total("labeling-broadcast") > 0);
     }
 }

@@ -5,9 +5,8 @@
 //! exact/approximate min st-cut, directed global min cut, weighted girth —
 //! is derived from the same toolkit: the dual graph `G*`, a bounded-
 //! diameter branch decomposition, and dual SSSP labelings over the CONGEST
-//! substrate. The free functions of the sibling modules rebuild that
-//! toolkit on every call; [`PlanarSolver`] builds it **once** and amortizes
-//! it across queries:
+//! substrate. [`PlanarSolver`] is the one entry point to all of them: it
+//! builds that toolkit **once** and amortizes it across queries:
 //!
 //! | artifact | built by | used by |
 //! |---|---|---|
@@ -30,10 +29,12 @@
 //!
 //! The solver owns its instance (an [`Arc<PlanarInstance>`]), is
 //! `Send + Sync`, and clones in `O(1)` by sharing the instance **and** the
-//! caches: artifacts are memoized behind `OnceLock`s, and the rounds
-//! charged while building them accumulate in mutex-guarded per-tier
-//! **substrate ledgers** that every query reports alongside its own
-//! marginal cost. Build counters ([`PlanarSolver::stats`]) let tests
+//! caches. Every artifact is owned data — the labeling engine holds an
+//! `Arc` of the graph and the labels hold an `Arc` of their engine — so
+//! the caches borrow nothing. Artifacts are memoized behind `OnceLock`s,
+//! and the rounds charged while building them accumulate in mutex-guarded
+//! per-tier **substrate ledgers** that every query reports alongside its
+//! own marginal cost. Build counters ([`PlanarSolver::stats`]) let tests
 //! assert that issuing many queries — even concurrently, even across
 //! respecs — constructs each artifact exactly once.
 //!
@@ -78,7 +79,6 @@
 //! assert_eq!(solver.stats().engine_builds, 1);
 //! ```
 
-use crate::approx_flow::StPlanarError;
 use crate::error::DualityError;
 use crate::heap_size::{hash_table_bytes, HeapSize, VEC_HEADER};
 use crate::instance::PlanarInstance;
@@ -133,18 +133,6 @@ impl<'g> SolverBuilder<'g> {
         self
     }
 
-    /// Overrides the BDD leaf threshold.
-    #[deprecated(since = "0.1.0", note = "use `with_leaf_threshold(Some(threshold))`")]
-    pub fn leaf_threshold(self, threshold: usize) -> Self {
-        self.with_leaf_threshold(Some(threshold))
-    }
-
-    /// Optional-valued form of the leaf-threshold override.
-    #[deprecated(since = "0.1.0", note = "use `with_leaf_threshold(threshold)`")]
-    pub fn leaf_threshold_opt(self, threshold: Option<usize>) -> Self {
-        self.with_leaf_threshold(threshold)
-    }
-
     /// Validates the instance and builds the solver. No substrate artifact
     /// is constructed yet — that happens lazily on first use.
     ///
@@ -171,12 +159,6 @@ impl<'g> SolverBuilder<'g> {
 /// Re-exported from the decomposition crate so the builder's rejection
 /// bound can never drift from `Bdd::build`'s own clamp.
 pub const MIN_LEAF_THRESHOLD: usize = duality_bdd::MIN_LEAF_THRESHOLD;
-
-/// The legacy options structs promised clamping, not rejection: shared by
-/// the pre-solver free-function wrappers.
-pub(crate) fn clamp_legacy_threshold(threshold: Option<usize>) -> Option<usize> {
-    threshold.map(|t| t.max(MIN_LEAF_THRESHOLD))
-}
 
 /// Snapshot of the solver's build counters, for cache-reuse assertions.
 ///
@@ -595,16 +577,7 @@ impl std::fmt::Display for BatchReport {
 /// Thread-safe throughout (`OnceLock` / `Mutex` / atomics); artifacts are
 /// built lazily on first use and exactly once.
 pub struct TopoSubstrate {
-    // Declared before `graph` so the engine's borrow is dropped before
-    // the `Arc` that keeps the borrowed graph alive.
-    //
-    // SAFETY invariant: the `'static` lifetime is an erasure. The engine
-    // borrows `*self.graph`, whose heap allocation is pinned by the
-    // `graph` field below for at least as long as this substrate (and
-    // never moves); the engine is only ever exposed with its lifetime
-    // shrunk back to a borrow of the substrate (covariance), so the
-    // borrow cannot outlive the graph.
-    engine: OnceLock<DualSsspEngine<'static>>,
+    engine: OnceLock<Arc<DualSsspEngine>>,
     dual: OnceLock<PlanarGraph>,
     cost_model: OnceLock<CostModel>,
     /// Rounds charged while building topology artifacts (one-off per
@@ -613,9 +586,8 @@ pub struct TopoSubstrate {
     engine_builds: AtomicU32,
     dual_builds: AtomicU32,
     leaf_threshold: Option<usize>,
-    /// The substrate's own pin on the graph allocation: the engine's
-    /// borrow stays valid even if every instance sharing this topology is
-    /// dropped or re-specced away.
+    /// The embedding every artifact is built from. The engine shares
+    /// this same allocation.
     graph: Arc<PlanarGraph>,
 }
 
@@ -657,23 +629,20 @@ impl TopoSubstrate {
         })
     }
 
-    fn engine(&self) -> &DualSsspEngine<'_> {
+    fn engine(&self) -> &Arc<DualSsspEngine> {
         let cm = self.cost_model();
         self.engine.get_or_init(|| {
             self.engine_builds.fetch_add(1, Ordering::Relaxed);
             let timer = PhaseTimer::start("bdd");
             let mut ledger = self.ledger.lock().expect("topo substrate lock");
-            // SAFETY: the reference points into the allocation owned by
-            // `self.graph`; that `Arc` pins it for at least as long as
-            // this substrate (and hence the engine stored next to it)
-            // exists, and `PlanarGraph` has no interior mutability. The
-            // erased `'static` never escapes: every public accessor
-            // shrinks it back to a borrow of the substrate (covariance of
-            // `DualSsspEngine<'g>` in `'g`).
-            let graph: &'static PlanarGraph = unsafe { &*std::ptr::from_ref(self.graph.as_ref()) };
-            let engine = DualSsspEngine::new(graph, &cm, self.leaf_threshold, &mut ledger);
+            let engine = DualSsspEngine::new(
+                Arc::clone(&self.graph),
+                &cm,
+                self.leaf_threshold,
+                &mut ledger,
+            );
             timer.stop(&mut ledger);
-            engine
+            Arc::new(engine)
         })
     }
 
@@ -698,54 +667,28 @@ impl TopoSubstrate {
 /// free) that the global-cut pipeline consumes. Rebuilt per spec
 /// ([`PlanarSolver::respec`] starts a fresh one), amortized across the
 /// queries of that spec.
+#[derive(Default)]
 struct WeightSubstrate {
-    // Declared before `topo` so the labels' borrow of the engine is
-    // dropped before the `Arc` that keeps the engine's substrate alive.
-    //
-    // SAFETY invariant: the `'static` lifetimes are erasures. The labels
-    // borrow the engine stored inside `*topo` (which in turn borrows the
-    // graph pinned by `*topo`); the `topo` field below keeps that
-    // allocation alive for at least as long as this tier, and the labels
-    // are only ever exposed with their lifetimes shrunk back to a borrow
-    // of the solver (covariance).
-    labels: OnceLock<DualLabels<'static, 'static>>,
+    labels: OnceLock<DualLabels>,
     /// Rounds charged while building weight-tier artifacts (one-off per
     /// spec).
     ledger: Mutex<CostLedger>,
     label_builds: AtomicU32,
-    topo: Arc<TopoSubstrate>,
 }
 
 impl WeightSubstrate {
-    fn new(topo: Arc<TopoSubstrate>) -> WeightSubstrate {
-        WeightSubstrate {
-            labels: OnceLock::new(),
-            ledger: Mutex::new(CostLedger::new()),
-            label_builds: AtomicU32::new(0),
-            topo,
-        }
-    }
-
     fn rounds(&self) -> CostLedger {
         self.ledger.lock().expect("weight substrate lock").clone()
     }
 
-    /// The cached dual distance labels at the instance lengths (forward
-    /// dart = edge weight, reversal dart = 0). The labeling broadcasts are
-    /// charged to the weight-tier ledger exactly once per spec.
-    fn labels(&self, weights: &[Weight]) -> &DualLabels<'static, 'static> {
+    /// The cached dual distance labels by `engine` at the instance lengths
+    /// (forward dart = edge weight, reversal dart = 0). The labeling
+    /// broadcasts are charged to the weight-tier ledger exactly once per
+    /// spec.
+    fn labels(&self, engine: &Arc<DualSsspEngine>, weights: &[Weight]) -> &DualLabels {
         self.labels.get_or_init(|| {
             self.label_builds.fetch_add(1, Ordering::Relaxed);
             let prep_timer = PhaseTimer::start("weight-tier");
-            // SAFETY: same erasure as `TopoSubstrate::engine` — the engine
-            // reference (and its own graph borrow, already `'static`-erased
-            // inside the substrate) points into the `TopoSubstrate`
-            // allocation pinned by `self.topo`, which outlives the labels
-            // stored next to it. The cast only renames the already-erased
-            // inner lifetime.
-            let engine: &'static DualSsspEngine<'static> = unsafe {
-                &*std::ptr::from_ref(self.topo.engine()).cast::<DualSsspEngine<'static>>()
-            };
             let mut lengths = vec![0; engine.graph.num_darts()];
             for (e, &w) in weights.iter().enumerate() {
                 lengths[Dart::forward(e).index()] = w;
@@ -767,7 +710,7 @@ impl WeightSubstrate {
 /// (`fx_index`, `child_of_node`, separator arcs) are estimated from the
 /// node counts they mirror. `O(total bag size)` — proportional to the
 /// structure being measured, never to a rebuild.
-fn engine_heap_bytes(engine: &DualSsspEngine<'_>) -> usize {
+fn engine_heap_bytes(engine: &DualSsspEngine) -> usize {
     let dart = std::mem::size_of::<Dart>();
     let face = std::mem::size_of::<FaceId>();
     let mut bytes = 0;
@@ -792,7 +735,7 @@ fn engine_heap_bytes(engine: &DualSsspEngine<'_>) -> usize {
 /// Estimated heap bytes of a built label store, derived from the engine
 /// structure the labels mirror: non-leaf bags hold two `|F_X|`-long weight
 /// vectors per node, leaf bags hold two `|nodes|`-long APSP rows per node.
-fn labels_heap_bytes(engine: &DualSsspEngine<'_>) -> usize {
+fn labels_heap_bytes(engine: &DualSsspEngine) -> usize {
     let w = std::mem::size_of::<Weight>();
     let face = std::mem::size_of::<FaceId>();
     let mut bytes = 0;
@@ -813,11 +756,11 @@ fn labels_heap_bytes(engine: &DualSsspEngine<'_>) -> usize {
 }
 
 impl HeapSize for TopoSubstrate {
-    /// The pinned graph (exact) plus whatever topology artifacts have
-    /// been built so far: the dual graph (exact) and the labeling engine
-    /// (estimated — see [`crate::heap_size`]). Lazily built artifacts
-    /// that do not exist yet cost nothing, so a substrate's bill grows as
-    /// it warms up.
+    /// The graph (exact; the engine shares this allocation, so it is
+    /// billed once) plus whatever topology artifacts have been built so
+    /// far: the dual graph (exact) and the labeling engine (estimated —
+    /// see [`crate::heap_size`]). Lazily built artifacts that do not exist
+    /// yet cost nothing, so a substrate's bill grows as it warms up.
     fn heap_bytes(&self) -> usize {
         let mut bytes = self.graph.heap_bytes();
         if let Some(dual) = self.dual.get() {
@@ -856,7 +799,7 @@ impl HeapSize for PlanarSolver {
 /// The state one solver and all its clones share: the owned instance, the
 /// two substrate tiers and the query counter. Thread-safe throughout.
 struct SolverShared {
-    /// Per-spec weight tier (holds its own `Arc` to the topology tier).
+    /// Per-spec weight tier.
     weight: WeightSubstrate,
     /// Shared topology tier — `respec` clones this `Arc` into the new
     /// solver instead of rebuilding.
@@ -876,17 +819,6 @@ struct SolverShared {
 #[derive(Clone)]
 pub struct PlanarSolver {
     shared: Arc<SolverShared>,
-}
-
-/// Lifts a shared-pipeline st-planar error into the façade dialect,
-/// attaching the query endpoints. Symmetry is screened by
-/// `check_undirected` before the pipelines run, but the mapping stays
-/// faithful in case they ever report it.
-fn lift_st_planar(e: StPlanarError, s: usize, t: usize) -> DualityError {
-    match e {
-        StPlanarError::NotStPlanar => DualityError::NotStPlanar { s, t },
-        StPlanarError::NotUndirected => DualityError::NotUndirected,
-    }
 }
 
 impl std::fmt::Debug for PlanarSolver {
@@ -954,7 +886,7 @@ impl PlanarSolver {
     fn over_substrate(instance: Arc<PlanarInstance>, topo: Arc<TopoSubstrate>) -> PlanarSolver {
         PlanarSolver {
             shared: Arc::new(SolverShared {
-                weight: WeightSubstrate::new(Arc::clone(&topo)),
+                weight: WeightSubstrate::default(),
                 topo,
                 queries: AtomicU32::new(0),
                 instance,
@@ -1102,29 +1034,25 @@ impl PlanarSolver {
         self.shared.topo.cost_model()
     }
 
-    /// The cached labeling engine (BDD + dual bags + separators), built on
-    /// first use with its `Õ(D)`-per-level charges in the topology ledger.
-    fn engine(&self) -> &DualSsspEngine<'_> {
-        self.shared.topo.engine()
-    }
-
     /// The weight tier's cached dual distance labels at the instance
     /// lengths, built on first use with the labeling broadcasts charged to
     /// the weight ledger (once per spec — the global-cut query's biggest
-    /// share, amortized across repeats and rebuilt on respec).
-    fn weight_labels(&self) -> &DualLabels<'_, '_> {
-        self.engine(); // charge the topology tier first, in build order
+    /// share, amortized across repeats and rebuilt on respec). The
+    /// topology tier is charged first, in build order.
+    fn weight_labels(&self) -> &DualLabels {
         self.shared
             .weight
-            .labels(self.shared.instance.edge_weights())
+            .labels(self.labeling_engine(), self.edge_weights())
     }
 
-    /// The cached labeling engine (advanced API): the BDD, dual bags and
-    /// separators, built on first use. Lets power users run custom dual
-    /// labelings (e.g. [`duality_labeling::sssp::dual_sssp`]) against the
-    /// same substrate the flow/cut queries amortize.
-    pub fn labeling_engine(&self) -> &DualSsspEngine<'_> {
-        self.engine()
+    /// The cached labeling engine (BDD + dual bags + separators), built on
+    /// first use with its `Õ(D)`-per-level charges in the topology ledger.
+    /// Lets power users run custom dual labelings (e.g.
+    /// [`duality_labeling::sssp::dual_sssp`]) against the same substrate
+    /// the flow/cut queries amortize. The engine is owned data: clone the
+    /// `Arc` to keep it beyond the solver.
+    pub fn labeling_engine(&self) -> &Arc<DualSsspEngine> {
+        self.shared.topo.engine()
     }
 
     /// The cached embedded dual graph `G*`.
@@ -1268,7 +1196,7 @@ impl PlanarSolver {
             self.cost_model();
         }
         if viable.iter().any(Query::needs_engine) {
-            self.engine();
+            self.labeling_engine();
         }
         if viable.iter().any(Query::needs_dual) {
             self.dual_graph();
@@ -1418,7 +1346,7 @@ impl PlanarSolver {
     fn run_max_flow(&self, s: usize, t: usize) -> Result<MaxFlowReport, DualityError> {
         self.precheck(Query::MaxFlow { s, t })?;
         let cm = self.cost_model();
-        let engine = self.engine();
+        let engine = self.labeling_engine();
         let mut query = CostLedger::new();
         let (value, flow, probes) =
             max_flow::run_max_flow(engine, &cm, self.capacities(), s, t, &mut query);
@@ -1433,7 +1361,7 @@ impl PlanarSolver {
     fn run_min_st_cut(&self, s: usize, t: usize) -> Result<MinCutReport, DualityError> {
         self.precheck(Query::MinStCut { s, t })?;
         let cm = self.cost_model();
-        let engine = self.engine();
+        let engine = self.labeling_engine();
         let mut query = CostLedger::new();
         let (value, side, cut_darts) =
             st_cut::run_exact_cut(engine, &cm, self.capacities(), s, t, &mut query);
@@ -1462,8 +1390,7 @@ impl PlanarSolver {
             t,
             eps_inverse,
             &mut query,
-        )
-        .map_err(|e| lift_st_planar(e, s, t))?;
+        )?;
         Ok(ApproxFlowReport {
             value_numer: out.value_numer,
             denom: out.denom,
@@ -1491,8 +1418,7 @@ impl PlanarSolver {
             t,
             eps_inverse,
             &mut query,
-        )
-        .map_err(|e| lift_st_planar(e, s, t))?;
+        )?;
         Ok(ApproxCutReport {
             value,
             cut_edges,
@@ -1503,14 +1429,13 @@ impl PlanarSolver {
     fn run_global_min_cut(&self) -> Result<GlobalCutReport, DualityError> {
         self.precheck(Query::GlobalMinCut)?;
         let cm = self.cost_model();
-        let engine = self.engine();
         // The labels at the instance lengths are a weight-tier artifact:
         // computed once per spec (charged there), reused by every repeat
         // of this query, rebuilt on respec.
         let labels = self.weight_labels();
         let mut query = CostLedger::new();
         let (value, side, cut_edges) =
-            global_cut::run_global_cut(engine, labels, &cm, self.edge_weights(), &mut query);
+            global_cut::run_global_cut(labels, &cm, self.edge_weights(), &mut query);
         Ok(GlobalCutReport {
             value,
             side,
@@ -1539,8 +1464,9 @@ impl PlanarSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::max_flow::{max_st_flow, MaxFlowOptions};
-    use crate::{girth::weighted_girth, global_cut::directed_global_min_cut};
+    use duality_baselines::cuts::planar_directed_min_cut_reference;
+    use duality_baselines::flow::planar_max_flow_reference;
+    use duality_baselines::girth::planar_weighted_girth;
     use duality_planar::gen;
 
     fn grid_solver(g: &PlanarGraph, seed: u64) -> PlanarSolver {
@@ -1599,33 +1525,6 @@ mod tests {
                 .build()
                 .is_ok());
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_threshold_setters_still_work() {
-        let g = gen::grid(3, 3).unwrap();
-        let s = PlanarSolver::builder(&g)
-            .capacities(vec![1; g.num_darts()])
-            .leaf_threshold(6)
-            .build()
-            .unwrap();
-        let t = PlanarSolver::builder(&g)
-            .capacities(vec![1; g.num_darts()])
-            .leaf_threshold_opt(Some(6))
-            .build()
-            .unwrap();
-        let (a, b) = (s.max_flow(0, 8).unwrap(), t.max_flow(0, 8).unwrap());
-        assert_eq!(a.value, b.value);
-        // The deprecated setters funnel into the same validation.
-        assert_eq!(
-            PlanarSolver::builder(&g)
-                .capacities(vec![1; g.num_darts()])
-                .leaf_threshold(1)
-                .build()
-                .err(),
-            Some(DualityError::BadLeafThreshold { got: 1 })
-        );
     }
 
     #[test]
@@ -1730,7 +1629,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_legacy_free_functions() {
+    fn agrees_with_baseline_references() {
         for seed in 0..3u64 {
             let g = gen::diag_grid(4, 4, seed).unwrap();
             let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, seed + 20);
@@ -1743,17 +1642,14 @@ mod tests {
             let t = g.num_vertices() - 1;
 
             let got = solver.max_flow(0, t).unwrap();
-            let want = max_st_flow(&g, &caps, 0, t, &MaxFlowOptions::default()).unwrap();
-            assert_eq!(got.value, want.value);
-            assert_eq!(got.flow, want.flow);
+            assert_eq!(got.value, planar_max_flow_reference(&g, &caps, 0, t));
+            crate::verify::assert_valid_flow(&g, &caps, &got.flow, 0, t, got.value);
 
             let gotc = solver.global_min_cut().unwrap();
-            let wantc = directed_global_min_cut(&g, &w).unwrap();
-            assert_eq!(gotc.value, wantc.value);
+            assert_eq!(Some(gotc.value), planar_directed_min_cut_reference(&g, &w));
 
             let gotg = solver.girth().unwrap();
-            let wantg = weighted_girth(&g, &w).unwrap();
-            assert_eq!(gotg.girth, wantg.girth);
+            assert_eq!(Some(gotg.girth), planar_weighted_girth(&g, &w));
         }
     }
 

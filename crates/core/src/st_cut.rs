@@ -11,75 +11,27 @@
 //!   the primal; its primal edges form a `(1+ε)`-approximate minimum
 //!   st-cut.
 //!
-//! Both free functions are thin wrappers over [`crate::solver::PlanarSolver`];
-//! the pipelines proper live in `run_exact_cut` / `run_approx_cut` and are
-//! shared with the solver's cached-substrate path.
+//! Run them through [`crate::solver::PlanarSolver::min_st_cut`] and
+//! [`crate::solver::PlanarSolver::approx_min_st_cut`]; the pipelines
+//! below take the solver's validated inputs and cached substrate.
 
-use crate::approx_flow::{validate_st_planar, StPlanarError};
-use crate::error::to_flow_error;
-use crate::max_flow::{FlowError, MaxFlowOptions};
-use crate::solver::PlanarSolver;
+use crate::error::DualityError;
 use duality_congest::{CostLedger, CostModel};
 use duality_labeling::DualSsspEngine;
 use duality_planar::{dual::DualView, Dart, PlanarGraph, Weight};
+use std::sync::Arc;
 
-/// Result of a minimum st-cut computation.
-#[derive(Clone, Debug)]
-pub struct StCutResult {
-    /// The cut capacity.
-    pub value: Weight,
-    /// `side[v]` is `true` for the `s` shore of the bisection.
-    pub side: Vec<bool>,
-    /// The cut darts (from the `s` side to the `t` side, saturated).
-    pub cut_darts: Vec<Dart>,
-    /// CONGEST rounds charged.
-    pub ledger: CostLedger,
-}
-
-/// Computes the exact directed minimum st-cut (value, bisection and cut
-/// darts).
-///
-/// # Errors
-///
-/// Propagates [`FlowError`] from the underlying max-flow computation.
-pub fn exact_min_st_cut(
-    g: &PlanarGraph,
-    caps: &[Weight],
-    s: usize,
-    t: usize,
-    options: &MaxFlowOptions,
-) -> Result<StCutResult, FlowError> {
-    if s == t || s >= g.num_vertices() || t >= g.num_vertices() {
-        return Err(FlowError::BadEndpoints);
-    }
-    assert_eq!(caps.len(), g.num_darts(), "one capacity per dart");
-    let solver = PlanarSolver::builder(g)
-        .capacities(caps)
-        .with_leaf_threshold(crate::solver::clamp_legacy_threshold(
-            options.leaf_threshold,
-        ))
-        .build()
-        .map_err(to_flow_error)?;
-    let r = solver.min_st_cut(s, t).map_err(to_flow_error)?;
-    Ok(StCutResult {
-        value: r.value,
-        side: r.side,
-        cut_darts: r.cut_darts,
-        ledger: r.rounds.into_ledger(),
-    })
-}
-
-/// The exact-cut pipeline proper (shared with the solver): max-flow, then
-/// residual reachability from `s`. Inputs are pre-validated.
+/// The exact-cut pipeline proper: max-flow, then residual reachability
+/// from `s`. Inputs are pre-validated.
 pub(crate) fn run_exact_cut(
-    engine: &DualSsspEngine<'_>,
+    engine: &Arc<DualSsspEngine>,
     cm: &CostModel,
     caps: &[Weight],
     s: usize,
     t: usize,
     ledger: &mut CostLedger,
 ) -> (Weight, Vec<bool>, Vec<Dart>) {
-    let g = engine.graph;
+    let g: &PlanarGraph = &engine.graph;
     let (value, flow, _probes) = crate::max_flow::run_max_flow(engine, cm, caps, s, t, ledger);
     // Residual reachability from s, via the primal SSSP black box of
     // Li–Parter (paper, Theorem 6.1 reduces reachability to SSSP with
@@ -107,34 +59,9 @@ pub(crate) fn run_exact_cut(
     (value, side, cut_darts)
 }
 
-/// Computes a `(1+1/k)`-approximate minimum st-cut of an undirected
-/// st-planar instance (`eps_inverse = k`; `k = 0` exact oracle) via Reif's
-/// st-separating dual cycle. Returns the cut edges (undirected).
-///
-/// # Errors
-///
-/// Propagates [`StPlanarError`] from the Hassin setup.
-pub fn approx_min_st_cut(
-    g: &PlanarGraph,
-    caps: &[Weight],
-    s: usize,
-    t: usize,
-    eps_inverse: u64,
-) -> Result<(Weight, Vec<usize>, CostLedger), StPlanarError> {
-    validate_st_planar(g, caps, s, t)?;
-    let solver = PlanarSolver::builder(g)
-        .capacities(caps)
-        .build()
-        .expect("inputs validated above");
-    let r = solver
-        .approx_min_st_cut(s, t, eps_inverse)
-        .map_err(crate::error::to_st_planar_error)?;
-    Ok((r.value, r.cut_edges, r.rounds.into_ledger()))
-}
-
-/// Reif's dual-cycle pipeline proper (shared with the solver): the Hassin
-/// flow setup, then the st-separating cycle walk. Inputs are pre-validated
-/// except st-planarity, discovered by the flow stage.
+/// Reif's dual-cycle pipeline proper: the Hassin flow setup, then the
+/// st-separating cycle walk. Inputs are pre-validated except
+/// st-planarity, discovered by the flow stage.
 pub(crate) fn run_approx_cut(
     g: &PlanarGraph,
     cm: &CostModel,
@@ -143,7 +70,7 @@ pub(crate) fn run_approx_cut(
     t: usize,
     eps_inverse: u64,
     ledger: &mut CostLedger,
-) -> Result<(Weight, Vec<usize>), StPlanarError> {
+) -> Result<(Weight, Vec<usize>), DualityError> {
     // Reuse the Hassin pipeline for validation of the inputs and charging.
     let approx = crate::approx_flow::run_approx_flow(g, cm, caps, s, t, eps_inverse, ledger)?;
 
@@ -203,16 +130,21 @@ pub(crate) fn run_approx_cut(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::PlanarSolver;
     use crate::verify;
     use duality_baselines::flow::planar_max_flow_reference;
     use duality_planar::gen;
+
+    fn solver(g: &PlanarGraph, caps: &[Weight]) -> PlanarSolver {
+        PlanarSolver::builder(g).capacities(caps).build().unwrap()
+    }
 
     #[test]
     fn exact_cut_equals_flow_on_directed_grids() {
         for seed in 0..3u64 {
             let g = gen::grid(4, 4).unwrap();
             let caps = gen::random_directed_capacities(g.num_edges(), 1, 7, seed);
-            let r = exact_min_st_cut(&g, &caps, 0, 15, &MaxFlowOptions::default()).unwrap();
+            let r = solver(&g, &caps).min_st_cut(0, 15).unwrap();
             // Max-flow min-cut: the saturated darts' capacity equals the
             // flow value.
             let cut_cap: Weight = r.cut_darts.iter().map(|d| caps[d.index()]).sum();
@@ -226,7 +158,7 @@ mod tests {
     fn exact_cut_on_undirected_instance() {
         let g = gen::diag_grid(4, 4, 5).unwrap();
         let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, 5);
-        let r = exact_min_st_cut(&g, &caps, 0, 15, &MaxFlowOptions::default()).unwrap();
+        let r = solver(&g, &caps).min_st_cut(0, 15).unwrap();
         assert_eq!(r.value, planar_max_flow_reference(&g, &caps, 0, 15));
         // Removing the cut edges separates t from s.
         let edges: Vec<usize> = r.cut_darts.iter().map(|d| d.edge()).collect();
@@ -238,7 +170,8 @@ mod tests {
         for k in [0u64, 2, 5] {
             let g = gen::grid(5, 4).unwrap();
             let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, k + 2);
-            let (value, edges, _) = approx_min_st_cut(&g, &caps, 0, 4, k).unwrap();
+            let r = solver(&g, &caps).approx_min_st_cut(0, 4, k).unwrap();
+            let (value, edges) = (r.value, r.cut_edges);
             assert!(verify::cut_separates(&g, &edges, 0, 4), "k = {k}");
             let exact = planar_max_flow_reference(&g, &caps, 0, 4);
             assert!(value >= exact, "a cut is never below the max flow");
@@ -257,7 +190,7 @@ mod tests {
     fn cut_value_zero_when_capacities_zero() {
         let g = gen::grid(3, 3).unwrap();
         let caps = vec![0; g.num_darts()];
-        let r = exact_min_st_cut(&g, &caps, 0, 8, &MaxFlowOptions::default()).unwrap();
+        let r = solver(&g, &caps).min_st_cut(0, 8).unwrap();
         assert_eq!(r.value, 0);
         // The crossing darts all carry zero capacity.
         assert_eq!(
@@ -269,14 +202,14 @@ mod tests {
     #[test]
     fn bad_endpoints_rejected_before_work() {
         let g = gen::grid(3, 3).unwrap();
-        let caps = vec![1; g.num_darts()];
+        let unit = solver(&g, &vec![1; g.num_darts()]);
         assert_eq!(
-            exact_min_st_cut(&g, &caps, 4, 4, &MaxFlowOptions::default()).err(),
-            Some(FlowError::BadEndpoints)
+            unit.min_st_cut(4, 4).err(),
+            Some(DualityError::BadEndpoints { s: 4, t: 4, n: 9 })
         );
         assert_eq!(
-            approx_min_st_cut(&g, &caps, 0, 99, 2).err(),
-            Some(StPlanarError::NotStPlanar)
+            unit.approx_min_st_cut(0, 99, 2).err(),
+            Some(DualityError::BadEndpoints { s: 0, t: 99, n: 9 })
         );
     }
 }

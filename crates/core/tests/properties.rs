@@ -1,12 +1,24 @@
-//! Property-based tests: every headline algorithm agrees with its
-//! centralized reference on randomized planar instances.
+//! Property-based tests: every headline algorithm, run through the
+//! solver, agrees with its centralized reference on randomized planar
+//! instances.
 
 use duality_baselines::cuts::planar_directed_min_cut_reference;
 use duality_baselines::flow::planar_max_flow_reference;
 use duality_baselines::girth::planar_weighted_girth;
-use duality_core::{approx_flow, girth, global_cut, max_flow, verify};
-use duality_planar::{gen, Weight};
+use duality_core::{verify, PlanarSolver};
+use duality_planar::{gen, PlanarGraph, Weight};
 use proptest::prelude::*;
+
+fn with_caps(g: &PlanarGraph, caps: &[Weight]) -> PlanarSolver {
+    PlanarSolver::builder(g).capacities(caps).build().unwrap()
+}
+
+fn with_weights(g: &PlanarGraph, weights: &[Weight]) -> PlanarSolver {
+    PlanarSolver::builder(g)
+        .edge_weights(weights)
+        .build()
+        .unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -24,7 +36,7 @@ proptest! {
         let g = gen::diag_grid(w, h, seed).unwrap();
         let caps = gen::random_directed_capacities(g.num_edges(), lo, hi, seed + 1);
         let (s, t) = (0, g.num_vertices() - 1);
-        let r = max_flow::max_st_flow(&g, &caps, s, t, &Default::default()).unwrap();
+        let r = with_caps(&g, &caps).max_flow(s, t).unwrap();
         prop_assert_eq!(r.value, planar_max_flow_reference(&g, &caps, s, t));
         verify::assert_valid_flow(&g, &caps, &r.flow, s, t, r.value);
     }
@@ -38,7 +50,7 @@ proptest! {
         let g = gen::apollonian(n, seed).unwrap();
         let caps = gen::random_edge_weights(2 * g.num_edges(), 0, 9, seed + 2);
         let (s, t) = (0, n - 1);
-        let r = max_flow::max_st_flow(&g, &caps, s, t, &Default::default()).unwrap();
+        let r = with_caps(&g, &caps).max_flow(s, t).unwrap();
         prop_assert_eq!(r.value, planar_max_flow_reference(&g, &caps, s, t));
         verify::assert_valid_flow(&g, &caps, &r.flow, s, t, r.value);
     }
@@ -55,7 +67,7 @@ proptest! {
         let g = gen::diag_grid(w, h, seed).unwrap();
         let caps = gen::random_undirected_capacities(g.num_edges(), 0, 20, seed + 3);
         let (s, t) = (0, w - 1); // two top corners share the outer face
-        let r = approx_flow::approx_max_st_flow(&g, &caps, s, t, k).unwrap();
+        let r = with_caps(&g, &caps).approx_max_flow(s, t, k).unwrap();
         for d in g.darts() {
             prop_assert_eq!(r.flow_numer[d.index()], -r.flow_numer[d.rev().index()]);
             prop_assert!(r.flow_numer[d.index()] <= caps[d.index()] * r.denom);
@@ -87,7 +99,7 @@ proptest! {
     ) {
         let g = gen::diag_grid(w, h, seed).unwrap();
         let weights = gen::random_edge_weights(g.num_edges(), 0, wmax, seed + 5);
-        let r = global_cut::directed_global_min_cut(&g, &weights).unwrap();
+        let r = with_weights(&g, &weights).global_min_cut().unwrap();
         prop_assert_eq!(Some(r.value), planar_directed_min_cut_reference(&g, &weights));
         let mut caps = vec![0; g.num_darts()];
         for (e, &x) in weights.iter().enumerate() {
@@ -107,7 +119,7 @@ proptest! {
     ) {
         let g = gen::diag_grid(w, h, seed).unwrap();
         let weights = gen::random_edge_weights(g.num_edges(), 1, wmax, seed + 7);
-        let r = girth::weighted_girth(&g, &weights).unwrap();
+        let r = with_weights(&g, &weights).girth().unwrap();
         prop_assert_eq!(Some(r.girth), planar_weighted_girth(&g, &weights));
         let total: Weight = r.cycle_edges.iter().map(|&e| weights[e]).sum();
         prop_assert_eq!(total, r.girth);
@@ -126,8 +138,8 @@ proptest! {
         let caps = gen::random_directed_capacities(g.num_edges(), 1, 9, seed);
         let more: Vec<Weight> = caps.iter().map(|&c| if c > 0 { c + bump } else { c }).collect();
         let (s, t) = (0, g.num_vertices() - 1);
-        let a = max_flow::max_st_flow(&g, &caps, s, t, &Default::default()).unwrap();
-        let b = max_flow::max_st_flow(&g, &more, s, t, &Default::default()).unwrap();
+        let a = with_caps(&g, &caps).max_flow(s, t).unwrap();
+        let b = with_caps(&g, &more).max_flow(s, t).unwrap();
         prop_assert!(b.value >= a.value);
     }
 }

@@ -4,6 +4,7 @@ use duality_bdd::{dual_bags, Bdd, BddOptions, DualBag};
 use duality_congest::{CostLedger, CostModel};
 use duality_planar::{Dart, FaceId, PlanarGraph, Weight, INF};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Errors from the labeling algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,27 +38,33 @@ impl std::error::Error for LabelingError {}
 /// per weight assignment (the Miller–Naor binary search re-labels the same
 /// engine `O(log λ)` times).
 ///
+/// The engine is owned data: it shares its graph through an `Arc` and
+/// borrows nothing, so it can be cached, sent across threads and outlive
+/// whoever built it. Labeling takes the engine by `&Arc<Self>` so that
+/// every [`DualLabels`] keeps its engine alive.
+///
 /// # Example
 ///
 /// ```
 /// use duality_labeling::DualSsspEngine;
 /// use duality_congest::{CostLedger, CostModel};
 /// use duality_planar::gen;
+/// use std::sync::Arc;
 ///
 /// let g = gen::grid(6, 6).unwrap();
 /// let cm = CostModel::new(g.num_vertices(), g.diameter());
 /// let mut ledger = CostLedger::new();
-/// let engine = DualSsspEngine::new(&g, &cm, None, &mut ledger);
 /// let lengths = vec![1i64; g.num_darts()];
+/// let engine = Arc::new(DualSsspEngine::new(g, &cm, None, &mut ledger));
 /// let labels = engine.labels(&lengths, &mut ledger).unwrap();
 /// let f0 = duality_planar::FaceId(0);
 /// assert_eq!(labels.decode(f0, f0), Some(0));
 /// ```
-pub struct DualSsspEngine<'g> {
+pub struct DualSsspEngine {
     /// The communication graph.
-    pub graph: &'g PlanarGraph,
+    pub graph: Arc<PlanarGraph>,
     /// The decomposition.
-    pub bdd: Bdd<'g>,
+    pub bdd: Bdd,
     /// Dual bag per bag id.
     pub duals: Vec<DualBag>,
     /// `F_X` per bag id (empty for leaves), as face ids.
@@ -72,17 +79,19 @@ pub struct DualSsspEngine<'g> {
     cm: CostModel,
 }
 
-impl<'g> DualSsspEngine<'g> {
-    /// Builds the engine: BDD construction (`Õ(D)` rounds per level,
-    /// charged), dual bags, separators and edge classification.
+impl DualSsspEngine {
+    /// Builds the engine over `g` (an owned graph or a shared `Arc`): BDD
+    /// construction (`Õ(D)` rounds per level, charged), dual bags,
+    /// separators and edge classification.
     pub fn new(
-        g: &'g PlanarGraph,
+        g: impl Into<Arc<PlanarGraph>>,
         cm: &CostModel,
         leaf_threshold: Option<usize>,
         ledger: &mut CostLedger,
     ) -> Self {
+        let g: Arc<PlanarGraph> = g.into();
         let bdd = Bdd::build(
-            g,
+            &g,
             &BddOptions {
                 leaf_threshold,
                 ..Default::default()
@@ -90,7 +99,7 @@ impl<'g> DualSsspEngine<'g> {
             cm,
             ledger,
         );
-        let duals: Vec<DualBag> = bdd.bags.iter().map(|b| DualBag::of_bag(g, b)).collect();
+        let duals: Vec<DualBag> = bdd.bags.iter().map(|b| DualBag::of_bag(&g, b)).collect();
         let mut fx = vec![Vec::new(); bdd.bags.len()];
         let mut fx_index = vec![HashMap::new(); bdd.bags.len()];
         let mut child_of_node = vec![HashMap::new(); bdd.bags.len()];
@@ -161,10 +170,10 @@ impl<'g> DualSsspEngine<'g> {
     /// [`LabelingError::NegativeCycle`] if the weighted dual contains a
     /// negative cycle (the abort broadcast of `O(D)` rounds is charged).
     pub fn labels(
-        &self,
+        self: &Arc<Self>,
         lengths: &[Weight],
         ledger: &mut CostLedger,
-    ) -> Result<DualLabels<'_, 'g>, LabelingError> {
+    ) -> Result<DualLabels, LabelingError> {
         assert_eq!(lengths.len(), self.graph.num_darts(), "one length per dart");
         let nbags = self.bdd.bags.len();
         let mut store = LabelStore {
@@ -197,7 +206,7 @@ impl<'g> DualSsspEngine<'g> {
             ledger.charge("labeling-broadcast", level_cost);
         }
         Ok(DualLabels {
-            engine: self,
+            engine: Arc::clone(self),
             store,
         })
     }
@@ -325,9 +334,11 @@ impl<'g> DualSsspEngine<'g> {
                 }
             }
         }
-        // Wait — the S_X arcs must attach to *every* part, not only the
-        // representative; the zero links make attachment to one part
-        // equivalent, so `rep` suffices. Floyd–Warshall:
+        // The S_X arcs of (b) attach to one representative part per face.
+        // That suffices: the zero links of (c) join every two parts of a
+        // face both ways, so each part reaches the representative and back
+        // at no cost, and a path through an S_X arc has the same length
+        // whichever part of its end faces it uses.
         floyd_warshall_in_place(&mut h);
         for i in 0..hn {
             if h[i][i] < 0 {
@@ -450,16 +461,17 @@ struct LabelStore {
     label_words: Vec<HashMap<FaceId, u64>>,
 }
 
-/// Computed distance labels for `G*` under one weight assignment.
-pub struct DualLabels<'e, 'g> {
-    engine: &'e DualSsspEngine<'g>,
+/// Computed distance labels for `G*` under one weight assignment. Owned:
+/// the labels hold the `Arc` of the engine that computed them.
+pub struct DualLabels {
+    engine: Arc<DualSsspEngine>,
     store: LabelStore,
 }
 
-impl<'e, 'g> DualLabels<'e, 'g> {
+impl DualLabels {
     /// The engine these labels were computed by.
-    pub fn engine(&self) -> &'e DualSsspEngine<'g> {
-        self.engine
+    pub fn engine(&self) -> &Arc<DualSsspEngine> {
+        &self.engine
     }
 
     /// Decodes the `G*` distance from face `f` to face `h` (labels only —
@@ -531,7 +543,7 @@ mod tests {
     fn check_against_reference(g: &PlanarGraph, lengths: &[Weight], threshold: Option<usize>) {
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(g, &cm, threshold, &mut ledger);
+        let engine = Arc::new(DualSsspEngine::new(g.clone(), &cm, threshold, &mut ledger));
         let labels = engine
             .labels(lengths, &mut ledger)
             .expect("no negative cycle");
@@ -587,7 +599,7 @@ mod tests {
         let lengths = vec![-1; g.num_darts()];
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, Some(6), &mut ledger);
+        let engine = Arc::new(DualSsspEngine::new(g, &cm, Some(6), &mut ledger));
         let err = engine.labels(&lengths, &mut ledger).err();
         assert!(matches!(err, Some(LabelingError::NegativeCycle { .. })));
     }
@@ -609,7 +621,7 @@ mod tests {
         let g = gen::grid(8, 8).unwrap();
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, None, &mut ledger);
+        let engine = Arc::new(DualSsspEngine::new(g.clone(), &cm, None, &mut ledger));
         let labels = engine.labels(&vec![1; g.num_darts()], &mut ledger).unwrap();
         let d = g.diameter() as u64;
         let logn = (g.num_vertices() as f64).log2().ceil() as u64;
@@ -636,10 +648,10 @@ mod tests {
         let g = gen::grid(8, 8).unwrap();
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut l1 = CostLedger::new();
-        let e1 = DualSsspEngine::new(&g, &cm, Some(1000), &mut l1); // single leaf
+        let e1 = Arc::new(DualSsspEngine::new(g.clone(), &cm, Some(1000), &mut l1)); // single leaf
         e1.labels(&vec![1; g.num_darts()], &mut l1).unwrap();
         let mut l2 = CostLedger::new();
-        let e2 = DualSsspEngine::new(&g, &cm, Some(8), &mut l2); // deep
+        let e2 = Arc::new(DualSsspEngine::new(g.clone(), &cm, Some(8), &mut l2)); // deep
         e2.labels(&vec![1; g.num_darts()], &mut l2).unwrap();
         assert!(l2.phase_total("labeling-broadcast") > 0);
         assert!(l1.phase_total("labeling-broadcast") > 0);

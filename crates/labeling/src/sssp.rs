@@ -26,12 +26,12 @@ pub struct DualSsspTree {
 /// Charges the source-label broadcast plus one dual part-wise aggregation
 /// (tree-arc marking).
 pub fn dual_sssp(
-    labels: &DualLabels<'_, '_>,
+    labels: &DualLabels,
     lengths: &[Weight],
     source: FaceId,
     ledger: &mut CostLedger,
 ) -> DualSsspTree {
-    let g = labels.engine().graph;
+    let g = &labels.engine().graph;
     let cm = labels.engine().cost_model();
     let dist = labels.distances_from(source, ledger);
     // Tree marking: one PA task over G* (each node picks the incident arc
@@ -106,6 +106,7 @@ mod tests {
     use crate::DualSsspEngine;
     use duality_congest::{CostLedger, CostModel};
     use duality_planar::gen;
+    use std::sync::Arc;
 
     #[test]
     fn sssp_tree_valid_on_random_weights() {
@@ -116,7 +117,7 @@ mod tests {
                 .collect();
             let cm = CostModel::new(g.num_vertices(), g.diameter());
             let mut ledger = CostLedger::new();
-            let engine = DualSsspEngine::new(&g, &cm, Some(10), &mut ledger);
+            let engine = Arc::new(DualSsspEngine::new(g.clone(), &cm, Some(10), &mut ledger));
             let labels = engine.labels(&lengths, &mut ledger).unwrap();
             let tree = dual_sssp(&labels, &lengths, FaceId(0), &mut ledger);
             assert!(tree.validate(&g, &lengths));
@@ -135,7 +136,7 @@ mod tests {
             .collect();
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, Some(8), &mut ledger);
+        let engine = Arc::new(DualSsspEngine::new(g.clone(), &cm, Some(8), &mut ledger));
         if let Ok(labels) = engine.labels(&lengths, &mut ledger) {
             let tree = dual_sssp(&labels, &lengths, FaceId(0), &mut ledger);
             assert!(tree.validate(&g, &lengths));
@@ -170,6 +171,7 @@ mod path_tests {
     use crate::DualSsspEngine;
     use duality_congest::{CostLedger, CostModel};
     use duality_planar::gen;
+    use std::sync::Arc;
 
     #[test]
     fn paths_have_matching_lengths() {
@@ -177,7 +179,7 @@ mod path_tests {
         let lengths: Vec<Weight> = (0..g.num_darts()).map(|i| (i as i64 % 5) + 1).collect();
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, Some(8), &mut ledger);
+        let engine = Arc::new(DualSsspEngine::new(g.clone(), &cm, Some(8), &mut ledger));
         let labels = engine.labels(&lengths, &mut ledger).unwrap();
         let tree = dual_sssp(&labels, &lengths, FaceId(0), &mut ledger);
         for f in g.faces() {
@@ -200,7 +202,7 @@ mod path_tests {
         let lengths = vec![1; g.num_darts()];
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, None, &mut ledger);
+        let engine = Arc::new(DualSsspEngine::new(g.clone(), &cm, None, &mut ledger));
         let labels = engine.labels(&lengths, &mut ledger).unwrap();
         let tree = dual_sssp(&labels, &lengths, FaceId(2), &mut ledger);
         assert_eq!(tree.path_to(&g, FaceId(2)), Some(Vec::new()));

@@ -6,6 +6,7 @@ use duality_congest::{CostLedger, CostModel};
 use duality_labeling::{DualSsspEngine, LabelingError};
 use duality_planar::{dual::DualView, gen, FaceId, Weight, INF};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn check_instance(
     g: &duality_planar::PlanarGraph,
@@ -14,7 +15,12 @@ fn check_instance(
 ) -> Result<(), TestCaseError> {
     let cm = CostModel::new(g.num_vertices(), g.diameter());
     let mut ledger = CostLedger::new();
-    let engine = DualSsspEngine::new(g, &cm, Some(threshold), &mut ledger);
+    let engine = Arc::new(DualSsspEngine::new(
+        g.clone(),
+        &cm,
+        Some(threshold),
+        &mut ledger,
+    ));
     let view = DualView::new(g, lengths, |d| lengths[d.index()] < INF / 2);
     let labels = engine.labels(lengths, &mut ledger);
     // Reference from every source.
@@ -109,7 +115,7 @@ proptest! {
         let g = gen::diag_grid(w, h, seed).unwrap();
         let cm = CostModel::new(g.num_vertices(), g.diameter());
         let mut ledger = CostLedger::new();
-        let engine = DualSsspEngine::new(&g, &cm, None, &mut ledger);
+        let engine = Arc::new(DualSsspEngine::new(g.clone(), &cm, None, &mut ledger));
         let labels = engine.labels(&vec![1; g.num_darts()], &mut ledger).unwrap();
         let d = g.diameter() as u64;
         let logn = (g.num_vertices() as f64).log2().ceil() as u64;

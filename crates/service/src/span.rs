@@ -10,10 +10,11 @@
 //! **service-time** ([`SpanRecord::service_us`]) per job — the split
 //! the aggregate latency histogram cannot provide.
 //!
-//! The sink contract is *never block the hot path*: the engine calls
-//! [`SpanSink::record`] outside every lock it holds, and a sink that
-//! cannot accept a span (full, contended) must drop it — counted, not
-//! blocking. The engine itself attaches no sink by default; telemetry
+//! The sink contract is *bounded work on the hot path*: the engine calls
+//! [`SpanSink::record`] outside every lock it holds, and a sink may hold
+//! its own lock only for O(1) work; a sink that cannot keep a span
+//! (full) drops it — counted. The engine itself attaches no sink by
+//! default; telemetry
 //! is strictly opt-in via [`EngineBuilder::span_sink`](crate::EngineBuilder::span_sink)
 //! and its absence costs one branch per job.
 
@@ -211,15 +212,16 @@ impl std::fmt::Display for PhaseSpan {
 
 /// Where the engine delivers spans. Implementations must be lock-light:
 /// [`SpanSink::record`] runs on the worker threads (and on submitter
-/// threads for rejections) after every job, and must **never block** —
-/// drop and count instead (see `duality-telemetry`'s ring sink for the
-/// reference implementation).
+/// threads for rejections) after every job, so any lock it takes must
+/// guard O(1) work only, and a span it cannot keep is dropped and
+/// counted (see `duality-telemetry`'s ring sink for the reference
+/// implementation).
 pub trait SpanSink: Send + Sync {
-    /// Accepts one span, or drops it (counted) — never blocks.
+    /// Accepts one span, or drops it (counted) — O(1) work.
     fn record(&self, span: SpanRecord);
 
-    /// Accepts one substrate-build profiling span, or drops it — never
-    /// blocks. Defaults to dropping silently so sinks that only consume
+    /// Accepts one substrate-build profiling span, or drops it — O(1)
+    /// work. Defaults to dropping silently so sinks that only consume
     /// job lifecycles need no change.
     fn record_phase(&self, span: PhaseSpan) {
         let _ = span;

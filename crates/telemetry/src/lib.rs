@@ -11,9 +11,10 @@
 //!
 //! * **[`RingSink`]** ([`ring`]) — the hot-path buffer: a fixed-capacity
 //!   overwrite-oldest ring the engine's workers record
-//!   [`SpanRecord`](duality_service::SpanRecord)s into. Never blocks:
-//!   contention and overflow drop spans (counted, reported in every
-//!   snapshot) rather than stall a worker.
+//!   [`SpanRecord`](duality_service::SpanRecord)s into. Every critical
+//!   section is O(1), so a worker waits at most a few pushes; only
+//!   overflow drops spans (counted, reported in every snapshot), and a
+//!   ring with room keeps every span.
 //! * **[`TenantLedger`]** ([`ledger`]) — attribution: folds spans into
 //!   per-tenant lifecycle counters and three log₂ histograms —
 //!   queue-wait, service-time, end-to-end — so p50/p99/max exist per

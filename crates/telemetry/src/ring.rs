@@ -1,16 +1,19 @@
 //! The bounded ring-buffer span sink — the only telemetry component on
-//! the engine's hot path, so its contract is absolute: **never block**.
+//! the engine's hot path, so its contract is: **bounded work, no lost
+//! spans while there is room**.
 //!
-//! [`RingSink::record`] takes the buffer lock with `try_lock` only; a
-//! contended lock drops the span (counted). A full ring overwrites its
-//! oldest span (also counted as a drop — the span existed and was
-//! lost). Consumers ([`RingSink::drain`]) may block on the lock; they
-//! run on the control plane's cadence, not the workers'.
+//! [`RingSink::record`] takes the buffer lock and holds it for an O(1)
+//! push; every other critical section is O(1) too ([`RingSink::drain`]
+//! swaps in an empty buffer and converts the old one outside the lock),
+//! so a producer waits at most a few pushes. The only way to lose a span
+//! is a full ring, which overwrites its oldest span (counted as a drop —
+//! the span existed and was lost). A poisoned lock is recovered: the
+//! buffer holds plain values that a panicking holder cannot leave torn.
 
 use duality_service::span::{PhaseSpan, SpanRecord, SpanSink};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Fixed-capacity overwrite-oldest span buffer. Cheap to share: hand
 /// `Arc<RingSink>` to
@@ -19,8 +22,8 @@ use std::sync::Mutex;
 ///
 /// Job spans and substrate build-phase spans buffer in **separate
 /// rings** (each of `capacity`) so a burst of one kind never evicts the
-/// other; both obey the same never-block / drop-and-count contract and
-/// share the drop counter.
+/// other; both obey the same overwrite-oldest / drop-and-count contract
+/// and share the drop counter.
 pub struct RingSink {
     capacity: usize,
     ring: Mutex<VecDeque<SpanRecord>>,
@@ -30,9 +33,26 @@ pub struct RingSink {
     /// Spans offered to the sink ([`SpanSink::record`] +
     /// [`SpanSink::record_phase`] calls).
     seen: AtomicU64,
-    /// Spans lost: lock contention on the hot path, or overwritten by a
-    /// later span before any consumer drained them (either kind).
+    /// Spans lost: overwritten by a later span before any consumer
+    /// drained them (either kind).
     dropped: AtomicU64,
+}
+
+/// Locks a ring, recovering it if a holder panicked.
+fn lock<T>(ring: &Mutex<T>) -> MutexGuard<'_, T> {
+    ring.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Pushes `span`, overwriting the oldest one when the ring is full;
+/// returns whether a span was overwritten.
+fn push<T>(ring: &Mutex<VecDeque<T>>, capacity: usize, span: T) -> bool {
+    let mut ring = lock(ring);
+    let full = ring.len() == capacity;
+    if full {
+        ring.pop_front();
+    }
+    ring.push_back(span);
+    full
 }
 
 impl RingSink {
@@ -48,18 +68,19 @@ impl RingSink {
         }
     }
 
-    /// Takes every buffered span, oldest first.
+    /// Takes every buffered span, oldest first. The lock is held only to
+    /// swap in an empty buffer (allocated before locking).
     pub fn drain(&self) -> Vec<SpanRecord> {
-        self.ring.lock().expect("ring lock").drain(..).collect()
+        let fresh = VecDeque::with_capacity(self.capacity);
+        let taken = std::mem::replace(&mut *lock(&self.ring), fresh);
+        taken.into()
     }
 
-    /// Takes every buffered build-phase span, oldest first.
+    /// Takes every buffered build-phase span, oldest first (same O(1)
+    /// swap as [`RingSink::drain`]).
     pub fn drain_phases(&self) -> Vec<PhaseSpan> {
-        self.phase_ring
-            .lock()
-            .expect("phase ring lock")
-            .drain(..)
-            .collect()
+        let taken = std::mem::take(&mut *lock(&self.phase_ring));
+        taken.into()
     }
 
     /// Spans offered to the sink so far.
@@ -67,15 +88,15 @@ impl RingSink {
         self.seen.load(Ordering::Relaxed)
     }
 
-    /// Spans lost (contention + overwrite). `seen - dropped` is what a
-    /// prompt consumer collects.
+    /// Spans lost to overwrite. `seen - dropped` is what a prompt consumer
+    /// collects.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Spans currently buffered.
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("ring lock").len()
+        lock(&self.ring).len()
     }
 
     /// Whether the buffer is empty.
@@ -92,31 +113,16 @@ impl RingSink {
 impl SpanSink for RingSink {
     fn record(&self, span: SpanRecord) {
         self.seen.fetch_add(1, Ordering::Relaxed);
-        // Never block a worker: a contended lock means a consumer (or
-        // another producer) holds the ring — drop this span, counted.
-        let Ok(mut ring) = self.ring.try_lock() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        if ring.len() == self.capacity {
-            ring.pop_front();
+        if push(&self.ring, self.capacity, span) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(span);
     }
 
     fn record_phase(&self, span: PhaseSpan) {
         self.seen.fetch_add(1, Ordering::Relaxed);
-        // Same contract as `record`: contention drops, counted.
-        let Ok(mut ring) = self.phase_ring.try_lock() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        if ring.len() == self.capacity {
-            ring.pop_front();
+        if push(&self.phase_ring, self.capacity, span) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(span);
     }
 }
 
@@ -158,13 +164,46 @@ mod tests {
     }
 
     #[test]
-    fn contention_drops_instead_of_blocking() {
-        let ring = RingSink::new(8);
+    fn concurrent_producers_lose_nothing_while_the_ring_has_room() {
+        let ring = RingSink::new(4 * 500);
         let guard = ring.ring.lock().unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let ring = &ring;
+                scope.spawn(move || {
+                    for i in 0..500 {
+                        ring.record(span(t * 1000 + i));
+                    }
+                });
+            }
+            // Hold the lock until every producer has offered its first
+            // span, so each first record meets a contended ring.
+            while ring.seen() < 4 {
+                std::thread::yield_now();
+            }
+            drop(guard);
+        });
+        assert_eq!((ring.seen(), ring.dropped()), (2000, 0));
+        assert_eq!(ring.drain().len(), 2000, "every span was buffered");
+    }
+
+    #[test]
+    fn a_poisoned_ring_keeps_recording() {
+        let ring = RingSink::new(4);
         ring.record(span(0));
-        drop(guard);
-        assert_eq!((ring.seen(), ring.dropped()), (1, 1));
-        assert!(ring.is_empty(), "the contended span was never buffered");
+        let _ = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = ring.ring.lock();
+                    panic!("a holder panics");
+                })
+                .join()
+        });
+        assert!(ring.ring.is_poisoned());
+        ring.record(span(1));
+        let specs: Vec<u64> = ring.drain().iter().map(|s| s.spec).collect();
+        assert_eq!(specs, vec![0, 1]);
+        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]

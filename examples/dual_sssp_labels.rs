@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The solver owns the substrate; `labeling_engine()` hands out the
     // cached BDD + dual bags (built once, Õ(D) rounds, charged to the
-    // substrate ledger) for custom labelings like this one.
+    // substrate ledger) for custom labelings like this one. The engine is
+    // an `Arc`, and the labels it computes hold a clone of it.
     let solver = PlanarSolver::builder(&g)
         .edge_weights(vec![1; g.num_edges()])
         .build()?;

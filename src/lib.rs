@@ -64,7 +64,7 @@
 //! [`telemetry`] spine makes the fleet
 //! observable *per tenant*: every engine job emits a compact span
 //! (queue-wait vs service-time, tenant topology fingerprint, outcome)
-//! into a bounded never-blocking ring, a [`TenantLedger`] folds spans
+//! into a bounded overwrite-oldest ring, a [`TenantLedger`] folds spans
 //! into per-tenant latency histograms and outcome counters, and the
 //! versioned [`TelemetrySnapshot`] feeds both operators (JSONL export)
 //! and the control plane's autopilot — a pressure-driven
@@ -111,8 +111,7 @@
 //! # Ok::<(), duality::DualityError>(())
 //! ```
 //!
-//! The pre-solver free functions (`core::max_flow::max_st_flow`, …) remain
-//! available as thin wrappers over the solver for gradual migration.
+//! `PlanarSolver` is the only entry point to the paper's queries.
 
 pub use duality_baselines as baselines;
 pub use duality_bdd as bdd;

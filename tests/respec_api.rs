@@ -9,9 +9,14 @@
 //! (c) `SolverPool` serves re-specced instances by respeccing cached
 //!     solvers (respec-reuse), with LRU eviction and correct answers;
 //! (d) property test: across all six query kinds, a respecced solver is
-//!     indistinguishable from a fresh build on random instances.
+//!     indistinguishable from a fresh build on random instances;
+//! (e) the substrate is owned data: an engine handle outlives the solver
+//!     and instance it came from, and labels outlive the handle.
 
-use duality::planar::{gen, Weight};
+use duality::bdd::Bdd;
+use duality::congest::CostLedger;
+use duality::labeling::{DualLabels, DualSsspEngine};
+use duality::planar::{dual::DualView, gen, FaceId, Weight};
 use duality::{
     InstanceKey, Outcome, PlanarInstance, PlanarSolver, Query, SolverPool, TopoSubstrate,
 };
@@ -200,6 +205,56 @@ fn pool_serves_a_respec_sweep_from_one_topology() {
         assert!(pool.contains(key));
         assert!(pool.run_keyed(key, Query::Girth).is_ok());
     }
+}
+
+/// (e) An engine handle cloned from a solver outlives the solver and its
+/// instance; labels computed at mixed-sign lengths keep their engine alive
+/// after the handle drops, and decode every dual distance exactly.
+#[test]
+fn the_substrate_outlives_its_solver() {
+    let g = gen::diag_grid(5, 4, 51).unwrap();
+    // Mixed signs, no negative cycle: 1 + π(from) − π(to) telescopes to
+    // the (positive) hop count around every dual cycle.
+    let pi = |f: FaceId| i64::from(f.0 * 5 % 7);
+    let lengths: Vec<Weight> = g
+        .darts()
+        .map(|d| {
+            let (from, to) = g.dual_arc(d);
+            1 + pi(from) - pi(to)
+        })
+        .collect();
+    assert!(lengths.iter().any(|&l| l < 0), "some arcs are negative");
+
+    let instance = PlanarInstance::new(g.clone(), None, Some(vec![1; g.num_edges()])).unwrap();
+    let solver = PlanarSolver::from_instance(Arc::clone(&instance));
+    let engine = Arc::clone(solver.labeling_engine());
+    drop(solver);
+    drop(instance);
+
+    let labels = engine.labels(&lengths, &mut CostLedger::new()).unwrap();
+    drop(engine);
+
+    let view = DualView::new(&g, &lengths, |_| true);
+    for src in g.faces() {
+        let reference = view.bellman_ford(src).expect("no negative cycle");
+        for f in g.faces() {
+            assert_eq!(
+                labels.decode(src, f),
+                Some(reference[f.index()]),
+                "dist({src:?} → {f:?})"
+            );
+        }
+    }
+}
+
+/// (e) Compile-time evidence: `Bdd`, `DualSsspEngine` and `DualLabels`
+/// take no lifetime (a type alias could not name them otherwise), so they
+/// can be cached and shared across threads for as long as anyone likes.
+#[test]
+fn substrate_types_are_owned_send_and_sync() {
+    type Substrate = (Bdd, DualSsspEngine, DualLabels);
+    fn assert_owned<T: Send + Sync + 'static>() {}
+    assert_owned::<Substrate>();
 }
 
 proptest! {

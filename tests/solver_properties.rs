@@ -1,16 +1,16 @@
 //! Property tests for the `PlanarSolver` façade:
 //!
-//! (a) solver queries agree with the legacy free functions on random
-//!     `diag_grid` instances;
+//! (a) solver queries agree with the centralized references of
+//!     `duality-baselines` on random `diag_grid` instances;
 //! (b) max-flow value equals min-st-cut value (duality) through the solver;
 //! (c) repeated queries on one solver reuse the cached substrate (asserted
 //!     via the build counters and the substrate ledger);
 //! (d) a multi-threaded `run_batch` agrees bit-for-bit with serial `run`
 //!     on random instances and random duplicate patterns.
 
-use duality::core::girth::weighted_girth;
-use duality::core::global_cut::directed_global_min_cut;
-use duality::core::max_flow::{max_st_flow, MaxFlowOptions};
+use duality::baselines::cuts::planar_directed_min_cut_reference;
+use duality::baselines::flow::planar_max_flow_reference;
+use duality::baselines::girth::planar_weighted_girth;
 use duality::core::verify;
 use duality::planar::gen;
 use duality::{Outcome, PlanarSolver, Query};
@@ -19,10 +19,11 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// (a) Agreement with the legacy free functions: same value, same
-    /// witness, on random triangulated grids with random capacities.
+    /// (a) Agreement with the centralized references (Dinic, the dual-cycle
+    /// global cut, the planar girth) on random triangulated grids with
+    /// random capacities; the flow witness is checked for feasibility.
     #[test]
-    fn solver_agrees_with_free_functions(
+    fn solver_agrees_with_baseline_references(
         w in 3usize..6,
         h in 3usize..5,
         seed in 0u64..10_000,
@@ -39,18 +40,14 @@ proptest! {
             .unwrap();
 
         let got = solver.max_flow(s, t).unwrap();
-        let want = max_st_flow(&g, &caps, s, t, &MaxFlowOptions::default()).unwrap();
-        prop_assert_eq!(got.value, want.value);
-        prop_assert_eq!(&got.flow, &want.flow);
+        prop_assert_eq!(got.value, planar_max_flow_reference(&g, &caps, s, t));
         verify::assert_valid_flow(&g, &caps, &got.flow, s, t, got.value);
 
         let gotc = solver.global_min_cut().unwrap();
-        let wantc = directed_global_min_cut(&g, &weights).unwrap();
-        prop_assert_eq!(gotc.value, wantc.value);
+        prop_assert_eq!(Some(gotc.value), planar_directed_min_cut_reference(&g, &weights));
 
         let gotg = solver.girth().unwrap();
-        let wantg = weighted_girth(&g, &weights).unwrap();
-        prop_assert_eq!(gotg.girth, wantg.girth);
+        prop_assert_eq!(Some(gotg.girth), planar_weighted_girth(&g, &weights));
     }
 
     /// (b) Max-flow min-cut duality through the façade: the two queries
