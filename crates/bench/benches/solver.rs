@@ -144,7 +144,8 @@ fn bench_query_batch(c: &mut Criterion) {
 /// two-level substrate exists to amortize — in a query-heavy sweep (see
 /// `solver_flow_batch`) the per-query labeling dominates both paths, which
 /// is exactly the point: respec removes the fixed cost, not the marginal
-/// one. The CONGEST-round face of the same sweep is experiment S3.
+/// one. The CONGEST-round face of the same sweep is pinned by
+/// `tests/respec_api.rs::topology_rounds_are_charged_once_across_a_respec_sweep`.
 fn bench_respec_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_respec");
     group.sample_size(10);

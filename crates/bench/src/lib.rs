@@ -1,181 +1,8 @@
 //! Experiment runners behind the `experiments` binary and the criterion
-//! benches. Every table and figure recorded in `EXPERIMENTS.md` is
-//! regenerated by a function in this crate (see `DESIGN.md` §4 for the
-//! experiment index).
+//! benches. Every paper table recorded in `EXPERIMENTS.md` is
+//! regenerated by a function in [`experiments`] (see `DESIGN.md` §4 for
+//! the experiment index); each returns the lab's
+//! [`EnvRow`](duality_lab::EnvRow)s.
 
 pub mod experiments;
 pub mod workloads;
-
-/// A generic measurement row: experiment id, instance parameters and the
-/// observed quantities, serialized to JSON by the harness.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Experiment id (e.g. "F1").
-    pub experiment: String,
-    /// Workload description.
-    pub instance: String,
-    /// Number of vertices.
-    pub n: usize,
-    /// Hop diameter.
-    pub d: usize,
-    /// Named measurements.
-    pub values: Vec<(String, f64)>,
-}
-
-impl Row {
-    /// Pretty-prints the row as a markdown table line.
-    pub fn markdown(&self) -> String {
-        let vals: Vec<String> = self
-            .values
-            .iter()
-            .map(|(k, v)| format!("{k}={v:.0}"))
-            .collect();
-        format!(
-            "| {} | {} | {} | {} | {} |",
-            self.experiment,
-            self.instance,
-            self.n,
-            self.d,
-            vals.join(", ")
-        )
-    }
-
-    /// Fetches a named value.
-    pub fn value(&self, key: &str) -> Option<f64> {
-        self.values.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-
-    /// Serializes the row as a JSON object (the harness output format).
-    pub fn json(&self) -> String {
-        let values: Vec<String> = self
-            .values
-            .iter()
-            .map(|(k, v)| format!("{}: {}", json_string(k), json_number(*v)))
-            .collect();
-        format!(
-            "{{\"experiment\": {}, \"instance\": {}, \"n\": {}, \"d\": {}, \"values\": {{{}}}}}",
-            json_string(&self.experiment),
-            json_string(&self.instance),
-            self.n,
-            self.d,
-            values.join(", ")
-        )
-    }
-}
-
-/// Serializes `rows` as a pretty-printed JSON array, one row per line.
-pub fn rows_to_json(rows: &[Row]) -> String {
-    let body: Vec<String> = rows.iter().map(|r| format!("  {}", r.json())).collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
-}
-
-/// Format version of the `BENCH_*.json` artifacts (defined in the lab
-/// layer, which owns the envelope schema end to end: writer, parser,
-/// regression gate, trajectory report).
-pub use duality_lab::BENCH_SCHEMA_VERSION;
-
-/// Converts a harness [`Row`] into the lab's envelope row (same fields;
-/// the lab type is the durable one).
-pub fn to_env_row(row: &Row) -> duality_lab::EnvRow {
-    duality_lab::EnvRow {
-        experiment: row.experiment.clone(),
-        instance: row.instance.clone(),
-        n: row.n,
-        d: row.d,
-        values: row.values.clone(),
-    }
-}
-
-/// Serializes one experiment's rows as a versioned benchmark artifact —
-/// the canonical envelope the lab layer parses back for regression
-/// gating ([`duality_lab::compare`]) and trajectory reporting. The
-/// scenario provenance list is derived from the row labels (the part
-/// before the first comma).
-pub fn bench_artifact_json(experiment: &str, seed: u64, smoke: bool, rows: &[Row]) -> String {
-    let env_rows: Vec<duality_lab::EnvRow> = rows.iter().map(to_env_row).collect();
-    duality_lab::Envelope::from_rows(experiment, seed, smoke, env_rows).to_json()
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Infinity/NaN; null keeps the document parseable.
-        "null".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_row() -> Row {
-        Row {
-            experiment: "T1".into(),
-            instance: "grid \"5x5\"".into(),
-            n: 25,
-            d: 8,
-            values: vec![("ok".into(), 1.0), ("rounds".into(), 1234.5)],
-        }
-    }
-
-    #[test]
-    fn json_escapes_and_structures() {
-        let j = sample_row().json();
-        assert!(j.contains("\"experiment\": \"T1\""));
-        assert!(j.contains("grid \\\"5x5\\\""));
-        assert!(j.contains("\"rounds\": 1234.5"));
-    }
-
-    #[test]
-    fn rows_to_json_is_an_array() {
-        let s = rows_to_json(&[sample_row(), sample_row()]);
-        assert!(s.starts_with("[\n"));
-        assert!(s.trim_end().ends_with(']'));
-        assert_eq!(s.matches("\"experiment\"").count(), 2);
-    }
-
-    #[test]
-    fn nonfinite_values_become_null() {
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert_eq!(json_number(2.0), "2");
-    }
-
-    #[test]
-    fn artifacts_carry_schema_version_and_provenance() {
-        let mut a = sample_row();
-        a.instance = "steady-state, 2 wrk / 1 shd".into();
-        let mut b = sample_row();
-        b.instance = "steady-state, 4 wrk / 2 shd".into();
-        let mut c = sample_row();
-        c.instance = "failover-storm, 2 wrk / 1 shd".into();
-        let text = bench_artifact_json("S5", 42, true, &[a, b, c]);
-        assert!(text.contains("\"schema_version\": 1"));
-        assert!(text.contains("\"experiment\": \"S5\""));
-        assert!(text.contains("\"seed\": 42"));
-        assert!(text.contains("\"smoke\": true"));
-        assert!(text.contains("\"scenarios\": [\"steady-state\", \"failover-storm\"]"));
-        assert_eq!(
-            text.matches("\"experiment\": \"T1\"").count(),
-            3,
-            "rows kept"
-        );
-    }
-}

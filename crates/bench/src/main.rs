@@ -1,21 +1,21 @@
-//! `experiments` — regenerates every table and figure of `EXPERIMENTS.md`,
+//! `experiments` — regenerates every paper table of `EXPERIMENTS.md`,
 //! and fronts the lab subsystem's spec/gate/report tooling.
 //!
 //! Usage:
 //!
-//! * `experiments [ids...] [--smoke]` — run registered experiments
-//!   (default: all). `--smoke` shrinks workloads to CI-sized instances
-//!   (currently: S3–S8). Unknown ids exit 2. Markdown tables go to
-//!   stdout; raw rows to `experiments.json`, and each S-series
-//!   experiment additionally to its own `BENCH_S*.json` artifact.
+//! * `experiments [ids...]` — run the paper's T/F/A tables (default:
+//!   all). Unknown ids exit 2. Markdown tables go to stdout; raw rows to
+//!   `experiments.json`.
 //! * `experiments run <spec-file> [--smoke] [--seed N] [--out FILE]` —
-//!   run one declarative lab spec (`experiments/*.lab.jsonl`) and write
-//!   its envelope (default `BENCH_<NAME>.json`).
+//!   run one declarative lab spec (`experiments/*.lab.jsonl`, the
+//!   serving-stack S-series) and write its envelope (default
+//!   `BENCH_<NAME>.json`).
 //! * `experiments compare <committed> <fresh> | --smoke` — the
-//!   regression gate: diff two envelopes row by row (or run the smoke
-//!   sweeps in-process and gate them against `smoke/BENCH_S*.json`).
-//!   Exits 1 on regression. `--tol-throughput P` / `--tol-p99 P`
-//!   override the default tolerances.
+//!   regression gate: diff two envelopes row by row (or run the
+//!   committed specs' smoke sweeps in-process and gate them against
+//!   `smoke/BENCH_S*.json`). Exits 1 on regression.
+//!   `--tol-throughput P` / `--tol-p99 P` override the default
+//!   tolerances.
 //! * `experiments report [files...] [--out FILE]` — render committed
 //!   envelopes into the trajectory report (default
 //!   `BENCH_TRAJECTORY.md` from all `BENCH_S*.json` in the cwd).
@@ -27,131 +27,92 @@
 //!   envelopes plus a live telemetry snapshot into the self-contained
 //!   `BENCH_DASHBOARD.html` (default: all `BENCH_S*.json` in the cwd).
 
-use duality_bench::{experiments, to_env_row, Row};
-use duality_lab::{compare, render_trajectory, Envelope, LabSpec, Tolerances};
+use duality_bench::experiments;
+use duality_lab::{compare, render_trajectory, EnvRow, Envelope, LabSpec, Tolerances};
 
-/// The experiment table: one entry per section, so id validation, the
-/// usage listing, and dispatch can never drift apart.
-#[allow(clippy::type_complexity)]
-fn registry(smoke: bool) -> Vec<(&'static str, &'static str, Box<dyn Fn(u64) -> Vec<Row>>)> {
-    vec![
-        (
-            "t1",
-            "correctness of all five theorems vs centralized references",
-            Box::new(experiments::t1_correctness),
-        ),
-        (
-            "f1",
-            "exact max-flow rounds vs diameter (Õ(D²), Thm 1.2)",
-            Box::new(|s| experiments::f1_flow_rounds_vs_d(&[8, 12, 16, 20, 24, 28], s)),
-        ),
-        (
-            "f2",
-            "exact max-flow rounds vs n at fixed diameter (no √n term)",
-            Box::new(experiments::f2_flow_rounds_vs_n),
-        ),
-        (
-            "f3",
-            "weighted-girth rounds vs diameter (Õ(D), Thm 1.7)",
-            Box::new(|s| experiments::f3_girth_rounds_vs_d(700, s)),
-        ),
-        (
-            "t2",
-            "approximate st-planar flow quality vs ε (Thm 1.3)",
-            Box::new(experiments::t2_approx_quality),
-        ),
-        (
-            "f4",
-            "directed global min cut: rounds vs diameter + correctness (Thm 1.5)",
-            Box::new(|s| experiments::f4_global_cut(&[8, 12, 16, 20], s)),
-        ),
-        (
-            "f5",
-            "distance-label sizes vs diameter (Õ(D) words, Lemma 5.17)",
-            Box::new(|s| experiments::f5_label_sizes(&[8, 12, 16, 20, 24, 28], s)),
-        ),
-        (
-            "t4",
-            "BDD structure: depth, face-parts, |F_X|, |S_X| (Thm 5.2)",
-            Box::new(experiments::t4_bdd_stats),
-        ),
-        (
-            "f6",
-            "measured rounds vs prior-work bounds (de Vos, GKKLP)",
-            Box::new(experiments::f6_prior_comparison),
-        ),
-        (
-            "t6",
-            "calibration: executed message-passing rounds vs charged formulas",
-            Box::new(experiments::t6_runtime_calibration),
-        ),
-        (
-            "a1",
-            "ablation: BDD leaf threshold (design choice)",
-            Box::new(experiments::a1_leaf_threshold_ablation),
-        ),
-        (
-            "a2",
-            "ablation: one-off setup vs per-probe labeling cost",
-            Box::new(experiments::a2_probe_cost_split),
-        ),
-        (
-            "t5",
-            "dual-simulation substrate: Ĝ diameter and MA round cost (§4)",
-            Box::new(experiments::t5_overlay_stats),
-        ),
-        (
-            "s1",
-            "PlanarSolver substrate reuse: warm batches vs cold batches",
-            Box::new(experiments::s1_substrate_reuse),
-        ),
-        (
-            "s2",
-            "run_batch throughput: batched vs serial-warm vs cold, thread sweep",
-            Box::new(experiments::s2_batch_throughput),
-        ),
-        (
-            "s3",
-            "respec reuse: topology tier charged once across a K-spec sweep",
-            Box::new(move |s| experiments::s3_respec_reuse(s, smoke)),
-        ),
-        (
-            "s4",
-            "serving engine: bit-for-bit vs serial across a worker × shard sweep",
-            Box::new(move |s| experiments::s4_service_engine(s, smoke)),
-        ),
-        (
-            "s5",
-            "scenario workloads: trace replay vs serial + throughput/latency sweep",
-            Box::new(move |s| experiments::s5_scenario_sweep(s, smoke)),
-        ),
-        (
-            "s6",
-            "control plane: spec-driven fleet lifecycle, convergence, snapshot restart",
-            Box::new(move |s| experiments::s6_control_plane(s, smoke)),
-        ),
-        (
-            "s7",
-            "saturation probe: max sustainable rate + knee latency per preset × cell",
-            Box::new(move |s| experiments::s7_saturation(s, smoke)),
-        ),
-        (
-            "s8",
-            "autopilot: telemetry-driven worker scaling vs a static peak fleet",
-            Box::new(move |s| experiments::s8_autopilot(s, smoke)),
-        ),
-        (
-            "s9",
-            "stealing probe: saturation capacity across a 1-8 worker sweep",
-            Box::new(move |s| experiments::s9_stealing(s, smoke)),
-        ),
-        (
-            "s10",
-            "memory probe: per-phase substrate µs + pool byte gauges on a size ramp",
-            Box::new(move |s| experiments::s10_memory(s, smoke)),
-        ),
-    ]
-}
+/// A paper table: id, title, and the function computing its rows from
+/// the harness seed.
+type Table = (&'static str, &'static str, fn(u64) -> Vec<EnvRow>);
+
+/// The paper's tables in print order: id validation, the usage listing
+/// and dispatch all read this one list.
+const TABLES: [Table; 13] = [
+    (
+        "t1",
+        "correctness of all five theorems vs centralized references",
+        experiments::t1_correctness,
+    ),
+    (
+        "f1",
+        "exact max-flow rounds vs diameter (Õ(D²), Thm 1.2)",
+        |s| experiments::f1_flow_rounds_vs_d(&[8, 12, 16, 20, 24, 28], s),
+    ),
+    (
+        "f2",
+        "exact max-flow rounds vs n at fixed diameter (no √n term)",
+        experiments::f2_flow_rounds_vs_n,
+    ),
+    (
+        "f3",
+        "weighted-girth rounds vs diameter (Õ(D), Thm 1.7)",
+        |s| experiments::f3_girth_rounds_vs_d(700, s),
+    ),
+    (
+        "t2",
+        "approximate st-planar flow quality vs ε (Thm 1.3)",
+        experiments::t2_approx_quality,
+    ),
+    (
+        "f4",
+        "directed global min cut: rounds vs diameter + correctness (Thm 1.5)",
+        |s| experiments::f4_global_cut(&[8, 12, 16, 20], s),
+    ),
+    (
+        "f5",
+        "distance-label sizes vs diameter (Õ(D) words, Lemma 5.17)",
+        |s| experiments::f5_label_sizes(&[8, 12, 16, 20, 24, 28], s),
+    ),
+    (
+        "t4",
+        "BDD structure: depth, face-parts, |F_X|, |S_X| (Thm 5.2)",
+        experiments::t4_bdd_stats,
+    ),
+    (
+        "f6",
+        "measured rounds vs prior-work bounds (de Vos, GKKLP)",
+        experiments::f6_prior_comparison,
+    ),
+    (
+        "t6",
+        "calibration: executed message-passing rounds vs charged formulas",
+        experiments::t6_runtime_calibration,
+    ),
+    (
+        "a1",
+        "ablation: BDD leaf threshold (design choice)",
+        experiments::a1_leaf_threshold_ablation,
+    ),
+    (
+        "a2",
+        "ablation: one-off setup vs per-probe labeling cost",
+        experiments::a2_probe_cost_split,
+    ),
+    (
+        "t5",
+        "dual-simulation substrate: Ĝ diameter and MA round cost (§4)",
+        experiments::t5_overlay_stats,
+    ),
+];
+
+/// The committed specs the smoke gate reruns, each against its
+/// `smoke/BENCH_<NAME>.json` baseline.
+const GATED_SPECS: [&str; 5] = [
+    "experiments/s5-replay.lab.jsonl",
+    "experiments/s7-saturation.lab.jsonl",
+    "experiments/s8-autopilot.lab.jsonl",
+    "experiments/s9-stealing.lab.jsonl",
+    "experiments/s10-memory.lab.jsonl",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -161,19 +122,16 @@ fn main() {
         Some("report") => cmd_report(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("dashboard") => cmd_dashboard(&args[1..]),
-        _ => cmd_legacy(args),
+        _ => cmd_tables(&args),
     };
     std::process::exit(code);
 }
 
-/// `experiments [ids...] [--smoke]` — the original harness behavior.
-fn cmd_legacy(mut args: Vec<String>) -> i32 {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    args.retain(|a| a != "--smoke");
-    let registry = registry(smoke);
-    let known: Vec<&str> = registry.iter().map(|(id, _, _)| *id).collect();
+/// `experiments [ids...]`.
+fn cmd_tables(args: &[String]) -> i32 {
+    let known: Vec<&str> = TABLES.iter().map(|(id, _, _)| *id).collect();
     let mut bad = false;
-    for a in &args {
+    for a in args {
         if !known.iter().any(|id| a.eq_ignore_ascii_case(id)) {
             eprintln!("unknown experiment id `{a}` (known: {})", known.join(" "));
             bad = true;
@@ -184,102 +142,50 @@ fn cmd_legacy(mut args: Vec<String>) -> i32 {
     }
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id));
     let seed = 42;
-    let mut all: Vec<Row> = Vec::new();
-
-    for (id, title, run) in &registry {
+    let mut all: Vec<EnvRow> = Vec::new();
+    for (id, title, run) in &TABLES {
         if !want(id) {
             continue;
         }
         println!("\n## {} — {title}\n", id.to_uppercase());
-        print_markdown(&run(seed), &mut all, id, seed, smoke);
+        let rows = run(seed);
+        print_table(&rows);
+        all.extend(rows);
     }
-
-    let json = duality_bench::rows_to_json(&all);
-    std::fs::write("experiments.json", json).expect("writable cwd");
+    let body: Vec<String> = all.iter().map(|r| format!("  {}", r.to_json())).collect();
+    std::fs::write("experiments.json", format!("[\n{}\n]\n", body.join(",\n")))
+        .expect("writable cwd");
     eprintln!("\nwrote {} rows to experiments.json", all.len());
     0
 }
 
-fn print_markdown(rows: &[Row], all: &mut Vec<Row>, id: &str, seed: u64, smoke: bool) {
+fn print_table(rows: &[EnvRow]) {
     println!("| id | instance | n | D | measurements |");
     println!("|----|----------|---|---|--------------|");
     for r in rows {
         println!("{}", r.markdown());
     }
-    // The solver/serving experiments seed the perf trajectory: each
-    // run leaves a per-experiment machine-readable artifact next to
-    // the combined dump — a versioned envelope (schema_version, seed,
-    // smoke flag, scenario list) so points stay comparable across PRs.
-    if id.starts_with('s') {
-        let artifact = format!("BENCH_{}.json", id.to_uppercase());
-        std::fs::write(
-            &artifact,
-            duality_bench::bench_artifact_json(&id.to_uppercase(), seed, smoke, rows),
-        )
-        .expect("writable cwd");
-        eprintln!("wrote {} rows to {artifact}", rows.len());
-    }
-    all.extend(rows.iter().cloned());
 }
 
 /// `experiments run <spec-file> [--smoke] [--seed N] [--out FILE]`.
 fn cmd_run(args: &[String]) -> i32 {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = flag_value(args, "--seed").map(|v| v.parse::<u64>());
-    let seed = match seed {
-        None => None,
-        Some(Ok(v)) => Some(v),
-        Some(Err(_)) => {
-            eprintln!("--seed takes an unsigned integer");
-            return 2;
-        }
+    let seed = match seed_flag(args) {
+        Ok(seed) => seed,
+        Err(code) => return code,
     };
     let out = flag_value(args, "--out").map(String::from);
     let Some(path) = positional(args).first().copied() else {
         eprintln!("usage: experiments run <spec-file> [--smoke] [--seed N] [--out FILE]");
         return 2;
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read `{path}`: {e}");
-            return 1;
-        }
+    let envelope = match run_spec_file(path, smoke, seed) {
+        Ok(e) => e,
+        Err(code) => return code,
     };
-    let spec = match LabSpec::parse_jsonl(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("`{path}`: {e}");
-            return 1;
-        }
-    };
-    let rows = match duality_lab::run_spec(&spec, smoke, seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("running `{path}` failed: {e}");
-            return 1;
-        }
-    };
-    println!("\n## {} — {path}\n", spec.name);
-    println!("| id | instance | n | D | measurements |");
-    println!("|----|----------|---|---|--------------|");
-    for r in &rows {
-        let vals: Vec<String> = r
-            .values
-            .iter()
-            .map(|(k, v)| format!("{k}={v:.0}"))
-            .collect();
-        println!(
-            "| {} | {} | {} | {} | {} |",
-            r.experiment,
-            r.instance,
-            r.n,
-            r.d,
-            vals.join(", ")
-        );
-    }
-    let envelope = Envelope::from_rows(&spec.name, seed.unwrap_or(spec.seed), smoke, rows);
-    let artifact = out.unwrap_or_else(|| format!("BENCH_{}.json", spec.name));
+    println!("\n## {} — {path}\n", envelope.experiment);
+    print_table(&envelope.rows);
+    let artifact = out.unwrap_or_else(|| format!("BENCH_{}.json", envelope.experiment));
     std::fs::write(&artifact, envelope.to_json()).expect("writable artifact path");
     eprintln!("wrote {} rows to {artifact}", envelope.rows.len());
     0
@@ -307,26 +213,10 @@ fn cmd_compare(args: &[String]) -> i32 {
         }
     }
     let pairs: Vec<(Envelope, Envelope)> = if args.iter().any(|a| a == "--smoke") {
-        // Gate mode: run the smoke sweeps in-process and diff them
-        // against the committed smoke baselines.
-        let seed = 42;
-        let mut pairs = Vec::new();
-        for (id, rows) in [
-            ("S5", experiments::s5_scenario_sweep(seed, true)),
-            ("S6", experiments::s6_control_plane(seed, true)),
-            ("S7", experiments::s7_saturation(seed, true)),
-            ("S8", experiments::s8_autopilot(seed, true)),
-            ("S9", experiments::s9_stealing(seed, true)),
-            ("S10", experiments::s10_memory(seed, true)),
-        ] {
-            let committed = match read_envelope(&format!("smoke/BENCH_{id}.json")) {
-                Ok(e) => e,
-                Err(code) => return code,
-            };
-            let env_rows = rows.iter().map(to_env_row).collect();
-            pairs.push((committed, Envelope::from_rows(id, seed, true, env_rows)));
+        match smoke_pairs() {
+            Ok(pairs) => pairs,
+            Err(code) => return code,
         }
-        pairs
     } else {
         let paths = positional(args);
         let [committed, fresh] = paths.as_slice() else {
@@ -362,30 +252,13 @@ fn cmd_compare(args: &[String]) -> i32 {
 /// `experiments report [files...] [--out FILE]`.
 fn cmd_report(args: &[String]) -> i32 {
     let out = flag_value(args, "--out").unwrap_or("BENCH_TRAJECTORY.md");
-    let mut paths: Vec<String> = positional(args).iter().map(|s| s.to_string()).collect();
-    if paths.is_empty() {
-        // Default: every committed S-series artifact in the cwd.
-        let mut found: Vec<String> = std::fs::read_dir(".")
-            .map(|dir| {
-                dir.filter_map(|e| e.ok())
-                    .map(|e| e.file_name().to_string_lossy().into_owned())
-                    .filter(|name| name.starts_with("BENCH_S") && name.ends_with(".json"))
-                    .collect()
-            })
-            .unwrap_or_default();
-        found.sort();
-        paths = found;
-    }
-    if paths.is_empty() {
+    let envelopes = match read_envelopes(args) {
+        Ok(e) => e,
+        Err(code) => return code,
+    };
+    if envelopes.is_empty() {
         eprintln!("no BENCH_S*.json artifacts found");
         return 1;
-    }
-    let mut envelopes = Vec::new();
-    for path in &paths {
-        match read_envelope(path) {
-            Ok(e) => envelopes.push(e),
-            Err(code) => return code,
-        }
     }
     std::fs::write(out, render_trajectory(&envelopes)).expect("writable report path");
     eprintln!("rendered {} envelope(s) to {out}", envelopes.len());
@@ -395,32 +268,18 @@ fn cmd_report(args: &[String]) -> i32 {
 /// `experiments trace <spec-file> [--smoke] [--seed N] [--out FILE]`.
 fn cmd_trace(args: &[String]) -> i32 {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = match flag_value(args, "--seed").map(|v| v.parse::<u64>()) {
-        None => None,
-        Some(Ok(v)) => Some(v),
-        Some(Err(_)) => {
-            eprintln!("--seed takes an unsigned integer");
-            return 2;
-        }
+    let seed = match seed_flag(args) {
+        Ok(seed) => seed,
+        Err(code) => return code,
     };
     let out = flag_value(args, "--out").unwrap_or("trace.json");
     let Some(path) = positional(args).first().copied() else {
         eprintln!("usage: experiments trace <spec-file> [--smoke] [--seed N] [--out FILE]");
         return 2;
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read `{path}`: {e}");
-            return 1;
-        }
-    };
-    let spec = match LabSpec::parse_jsonl(&text) {
+    let spec = match read_spec(path) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("`{path}`: {e}");
-            return 1;
-        }
+        Err(code) => return code,
     };
     let slices = match duality_lab::capture_trace(&spec, smoke, seed) {
         Ok(s) => s,
@@ -440,26 +299,10 @@ fn cmd_trace(args: &[String]) -> i32 {
 /// `experiments dashboard [files...] [--out FILE]`.
 fn cmd_dashboard(args: &[String]) -> i32 {
     let out = flag_value(args, "--out").unwrap_or("BENCH_DASHBOARD.html");
-    let mut paths: Vec<String> = positional(args).iter().map(|s| s.to_string()).collect();
-    if paths.is_empty() {
-        let mut found: Vec<String> = std::fs::read_dir(".")
-            .map(|dir| {
-                dir.filter_map(|e| e.ok())
-                    .map(|e| e.file_name().to_string_lossy().into_owned())
-                    .filter(|name| name.starts_with("BENCH_S") && name.ends_with(".json"))
-                    .collect()
-            })
-            .unwrap_or_default();
-        found.sort();
-        paths = found;
-    }
-    let mut envelopes = Vec::new();
-    for path in &paths {
-        match read_envelope(path) {
-            Ok(e) => envelopes.push(e),
-            Err(code) => return code,
-        }
-    }
+    let envelopes = match read_envelopes(args) {
+        Ok(e) => e,
+        Err(code) => return code,
+    };
     let snapshot = live_fleet_snapshot();
     std::fs::write(
         out,
@@ -512,6 +355,45 @@ fn live_fleet_snapshot() -> duality_telemetry::TelemetrySnapshot {
     telemetry.snapshot()
 }
 
+/// Gate mode: runs every gated spec's smoke sweep in-process and pairs
+/// it with its committed smoke baseline.
+fn smoke_pairs() -> Result<Vec<(Envelope, Envelope)>, i32> {
+    GATED_SPECS
+        .iter()
+        .map(|path| {
+            let fresh = run_spec_file(path, true, None)?;
+            let committed = read_envelope(&format!("smoke/BENCH_{}.json", fresh.experiment))?;
+            Ok((committed, fresh))
+        })
+        .collect()
+}
+
+/// Runs the lab spec at `path` into its envelope.
+fn run_spec_file(path: &str, smoke: bool, seed: Option<u64>) -> Result<Envelope, i32> {
+    let spec = read_spec(path)?;
+    let rows = duality_lab::run_spec(&spec, smoke, seed).map_err(|e| {
+        eprintln!("running `{path}` failed: {e}");
+        1
+    })?;
+    Ok(Envelope::from_rows(
+        &spec.name,
+        seed.unwrap_or(spec.seed),
+        smoke,
+        rows,
+    ))
+}
+
+fn read_spec(path: &str) -> Result<LabSpec, i32> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("cannot read `{path}`: {e}");
+        1
+    })?;
+    LabSpec::parse_jsonl(&text).map_err(|e| {
+        eprintln!("`{path}`: {e}");
+        1
+    })
+}
+
 fn read_envelope(path: &str) -> Result<Envelope, i32> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         eprintln!("cannot read `{path}`: {e}");
@@ -521,6 +403,36 @@ fn read_envelope(path: &str) -> Result<Envelope, i32> {
         eprintln!("`{path}`: {e}");
         1
     })
+}
+
+/// The envelopes named on the command line; by default every committed
+/// `BENCH_S*.json` artifact in the cwd.
+fn read_envelopes(args: &[String]) -> Result<Vec<Envelope>, i32> {
+    let mut paths: Vec<String> = positional(args).iter().map(|s| s.to_string()).collect();
+    if paths.is_empty() {
+        paths = std::fs::read_dir(".")
+            .map(|dir| {
+                dir.filter_map(|e| e.ok())
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .filter(|name| name.starts_with("BENCH_S") && name.ends_with(".json"))
+                    .collect()
+            })
+            .unwrap_or_default();
+        paths.sort();
+    }
+    paths.iter().map(|path| read_envelope(path)).collect()
+}
+
+/// The `--seed N` value, if given.
+fn seed_flag(args: &[String]) -> Result<Option<u64>, i32> {
+    flag_value(args, "--seed")
+        .map(|v| {
+            v.parse::<u64>().map_err(|_| {
+                eprintln!("--seed takes an unsigned integer");
+                2
+            })
+        })
+        .transpose()
 }
 
 /// The value following `flag`, if present.

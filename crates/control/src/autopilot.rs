@@ -345,12 +345,7 @@ mod tests {
         let hist = |values: &[u64]| {
             let mut h = LatencySnapshot::default();
             for &us in values {
-                let idx = (64 - us.leading_zeros() as usize)
-                    .min(duality_service::metrics::LATENCY_BUCKETS - 1);
-                h.buckets[idx] += 1;
-                h.count += 1;
-                h.sum_us += us;
-                h.max_us = h.max_us.max(us);
+                h.record(us);
             }
             h
         };

@@ -22,7 +22,9 @@
 //!
 //! Shape drift is also a failure: a row or metric present in the
 //! committed envelope but missing fresh means the experiment changed
-//! without a schema conversation.
+//! without a schema conversation. So is a non-finite exact or gated
+//! value on either side (a `null` in the file parses as NaN, which
+//! would pass every bound).
 
 use crate::envelope::Envelope;
 use crate::error::LabError;
@@ -151,7 +153,13 @@ pub fn compare(
                 continue;
             };
             let shift = percent_change(*want, got);
-            match classify(name) {
+            let class = classify(name);
+            // NaN compares false against every bound below.
+            if class != MetricClass::Informational && !(want.is_finite() && got.is_finite()) {
+                failures.push(format!("{name} {want} → {got} (non-finite value)"));
+                continue;
+            }
+            match class {
                 MetricClass::Exact => {
                     if got != *want {
                         failures.push(format!("{name} {want} → {got} (exact metric drifted)"));
@@ -290,6 +298,27 @@ mod tests {
         fresh.rows[0].values.remove(3);
         let report = compare(&baseline(), &fresh, &Tolerances::default()).unwrap();
         assert!(report.render().contains("p99-us missing"));
+
+        // A `null` in a fresh envelope parses as NaN, and a non-finite
+        // value on either side of a gated metric fails.
+        let text = baseline()
+            .to_json()
+            .replace("\"throughput-jps\": 1000", "\"throughput-jps\": null");
+        let fresh = Envelope::parse(&text).unwrap();
+        let report = compare(&baseline(), &fresh, &Tolerances::default()).unwrap();
+        assert_eq!(report.regressions, 1, "{}", report.render());
+        assert!(report
+            .render()
+            .contains("throughput-jps 1000 → NaN (non-finite value)"));
+        let report = compare(&fresh, &baseline(), &Tolerances::default()).unwrap();
+        assert_eq!(report.regressions, 1, "{}", report.render());
+        let mut fresh = baseline();
+        fresh.rows[0].values[0].1 = f64::INFINITY; // jobs
+        fresh.rows[0].values[3].1 = f64::NAN; // p99-us
+        fresh.rows[0].values[4].1 = f64::NAN; // pool-hits: informational
+        let report = compare(&baseline(), &fresh, &Tolerances::default()).unwrap();
+        assert_eq!(report.regressions, 2, "{}", report.render());
+        assert!(report.render().contains("jobs 24 → inf (non-finite value)"));
     }
 
     #[test]

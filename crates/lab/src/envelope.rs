@@ -1,17 +1,19 @@
 //! The versioned `BENCH_*.json` artifact: writer and parser.
 //!
-//! The bench harness has always *written* these envelopes —
-//! `schema_version` plus provenance (experiment id, seed, smoke flag,
-//! scenario list) around an array of measurement rows — but nothing
-//! read them back. This module closes the loop: [`Envelope::to_json`]
-//! is the canonical writer (the exact bytes `bench_artifact_json`
-//! produced before the lab existed, so committed artifacts stay
-//! diffable), and [`Envelope::parse`] reads a committed artifact back
-//! for the regression gate ([`compare`](crate::compare)) and the
-//! trajectory report ([`report`](crate::report)).
+//! An envelope is `schema_version` plus provenance (experiment id,
+//! seed, smoke flag, scenario list) around an array of measurement
+//! rows. [`Envelope::to_json`] is the canonical writer, byte-stable so
+//! committed artifacts stay diffable, and [`Envelope::parse`] reads a
+//! committed artifact back for the regression gate
+//! ([`compare`](crate::compare)) and the trajectory report
+//! ([`report`](crate::report)). [`EnvRow`] is also the row type of the
+//! paper's T/F/A tables: the `experiments` binary prints it with
+//! [`EnvRow::markdown`] and dumps it with [`EnvRow::to_json`].
 //!
 //! Parsing refuses unknown schema versions: an envelope from a future
-//! format is not silently misread as comparable data.
+//! format is not silently misread as comparable data. The reader also
+//! refuses documents nested more than 32 levels deep, so a hostile file
+//! is an `Err`, not a stack overflow.
 
 use crate::error::LabError;
 
@@ -46,6 +48,24 @@ impl EnvRow {
     /// scenario name under the row-labeling convention.
     pub fn scenario(&self) -> &str {
         self.instance.split(',').next().unwrap_or("").trim()
+    }
+
+    /// The row as one line of the harness's markdown table
+    /// (`| id | instance | n | D | measurements |`).
+    pub fn markdown(&self) -> String {
+        let vals: Vec<String> = self
+            .values
+            .iter()
+            .map(|(k, v)| format!("{k}={v:.0}"))
+            .collect();
+        format!(
+            "| {} | {} | {} | {} | {} |",
+            self.experiment,
+            self.instance,
+            self.n,
+            self.d,
+            vals.join(", ")
+        )
     }
 
     /// Serializes the row as a one-line JSON object.
@@ -214,6 +234,11 @@ fn json_number(v: f64) -> String {
 // its own ~100-line value parser. Accepts arbitrary whitespace; numbers
 // are f64 throughout (the envelope's only numeric consumer).
 
+/// Deepest nesting the reader accepts. An envelope and a chrome trace
+/// each need 4 levels; the cap keeps the recursive descent far from any
+/// thread's stack limit on hostile input.
+const MAX_DEPTH: usize = 32;
+
 /// One parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -239,7 +264,7 @@ impl Json {
     /// A human-readable reason on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut chars = text.chars().peekable();
-        let value = parse_value(&mut chars)?;
+        let value = parse_value(&mut chars, 0)?;
         skip_ws(&mut chars);
         if chars.next().is_some() {
             return Err("trailing content after document".into());
@@ -320,11 +345,16 @@ fn skip_ws(chars: &mut Chars<'_>) {
     }
 }
 
-fn parse_value(chars: &mut Chars<'_>) -> Result<Json, String> {
+/// Parses one value at nesting `depth` (the number of enclosing
+/// arrays and objects).
+fn parse_value(chars: &mut Chars<'_>, depth: usize) -> Result<Json, String> {
     skip_ws(chars);
     match chars.peek() {
-        Some('{') => parse_object(chars),
-        Some('[') => parse_array(chars),
+        Some('{' | '[') if depth == MAX_DEPTH => {
+            Err(format!("document nested deeper than {MAX_DEPTH} levels"))
+        }
+        Some('{') => parse_object(chars, depth + 1),
+        Some('[') => parse_array(chars, depth + 1),
         Some('"') => Ok(Json::Str(parse_string(chars)?)),
         Some(c) if c.is_ascii_digit() || *c == '-' => parse_number(chars),
         Some(_) => parse_literal(chars),
@@ -332,7 +362,7 @@ fn parse_value(chars: &mut Chars<'_>) -> Result<Json, String> {
     }
 }
 
-fn parse_object(chars: &mut Chars<'_>) -> Result<Json, String> {
+fn parse_object(chars: &mut Chars<'_>, depth: usize) -> Result<Json, String> {
     chars.next();
     let mut fields = Vec::new();
     loop {
@@ -350,7 +380,7 @@ fn parse_object(chars: &mut Chars<'_>) -> Result<Json, String> {
         if chars.next() != Some(':') {
             return Err(format!("expected `:` after key `{key}`"));
         }
-        fields.push((key, parse_value(chars)?));
+        fields.push((key, parse_value(chars, depth)?));
         skip_ws(chars);
         match chars.next() {
             Some(',') => {}
@@ -360,7 +390,7 @@ fn parse_object(chars: &mut Chars<'_>) -> Result<Json, String> {
     }
 }
 
-fn parse_array(chars: &mut Chars<'_>) -> Result<Json, String> {
+fn parse_array(chars: &mut Chars<'_>, depth: usize) -> Result<Json, String> {
     chars.next();
     let mut items = Vec::new();
     skip_ws(chars);
@@ -369,7 +399,7 @@ fn parse_array(chars: &mut Chars<'_>) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(chars)?);
+        items.push(parse_value(chars, depth)?);
         skip_ws(chars);
         match chars.next() {
             Some(',') => {}
@@ -485,6 +515,26 @@ mod tests {
     }
 
     #[test]
+    fn rows_escape_strings_and_print_as_markdown() {
+        let row = EnvRow {
+            experiment: "T1".into(),
+            instance: "grid \"5x5\" \\ tab\t".into(),
+            n: 25,
+            d: 8,
+            values: vec![("ok".into(), 1.0), ("rounds".into(), 1234.25)],
+        };
+        let json = row.to_json();
+        assert!(json.contains(r#""instance": "grid \"5x5\" \\ tab\t""#));
+        assert!(json.contains(r#""rounds": 1234.25"#));
+        let env = Envelope::from_rows("T1", 3, false, vec![row.clone()]);
+        assert_eq!(Envelope::parse(&env.to_json()).unwrap(), env);
+        assert_eq!(
+            row.markdown(),
+            "| T1 | grid \"5x5\" \\ tab\t | 25 | 8 | ok=1, rounds=1234 |"
+        );
+    }
+
+    #[test]
     fn unknown_envelope_versions_are_refused() {
         let text = sample()
             .to_json()
@@ -513,6 +563,23 @@ mod tests {
         assert!(doc.bool("t").unwrap());
         assert_eq!(doc.field("z").unwrap(), &Json::Null);
         assert!(Json::parse("{\"k\": nope}").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(Json::parse(&"[".repeat(10_000)).is_err());
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn every_truncated_envelope_is_an_error() {
+        let text = sample().to_json();
+        let doc = text.trim_end();
+        for (cut, _) in doc.char_indices() {
+            assert!(Envelope::parse(&doc[..cut]).is_err(), "{cut}-byte prefix");
+        }
     }
 
     #[test]

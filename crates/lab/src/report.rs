@@ -66,8 +66,8 @@ pub fn render_trajectory(envelopes: &[Envelope]) -> String {
 
 /// Every metric name across the envelope's rows, first-appearance
 /// order — rows of one experiment usually share a schema, but the
-/// union keeps mixed-shape envelopes (e.g. phase-structured S6)
-/// renderable.
+/// union keeps mixed-shape envelopes (e.g. S8, whose static-peak row
+/// carries fewer columns than its autopilot phases) renderable.
 fn metric_union(env: &Envelope) -> Vec<String> {
     let mut metrics: Vec<String> = Vec::new();
     for row in &env.rows {

@@ -60,7 +60,7 @@
 //! rounds included — regardless of the worker/shard configuration (the
 //! substrate *snapshots* attached to an outcome may differ, because
 //! concurrent queries can observe the lazily built substrate at different
-//! stages; the `experiments s4` harness checks the contract across a
+//! stages; `tests/service_api.rs` checks the contract across a
 //! worker × shard sweep).
 //!
 //! # Example

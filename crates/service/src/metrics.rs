@@ -20,6 +20,11 @@ use std::sync::Mutex;
 /// (bucket 0: < 1 µs), so the top bucket covers ≈ 34 s and beyond.
 pub const LATENCY_BUCKETS: usize = 26;
 
+/// The log₂ bucket that a latency of `us` microseconds falls in.
+fn bucket_of(us: u64) -> usize {
+    (64 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
+}
+
 /// The log-bucketed latency histogram, shared by all workers.
 pub(crate) struct Histogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -39,8 +44,7 @@ impl Histogram {
     }
 
     pub fn record(&self, us: u64) {
-        let idx = (64 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
@@ -70,6 +74,15 @@ pub struct LatencySnapshot {
 }
 
 impl LatencySnapshot {
+    /// Records one latency of `us` microseconds, in the bucket the
+    /// engine's live histogram would use.
+    pub fn record(&mut self, us: u64) {
+        self.buckets[bucket_of(us)] += 1;
+        self.count += 1;
+        self.sum_us += us;
+        self.max_us = self.max_us.max(us);
+    }
+
     /// An upper bound (bucket ceiling) on the `q`-quantile latency in
     /// microseconds, `q ∈ [0, 1]`. `None` when nothing was recorded.
     pub fn quantile_us(&self, q: f64) -> Option<u64> {

@@ -15,20 +15,9 @@
 //! cancelled jobs, whose whole queued life was waiting. Rejected
 //! submissions never waited in the queue and only count.
 
-use duality_service::metrics::LATENCY_BUCKETS;
 use duality_service::span::{PhaseSpan, SpanRecord, SpanState};
 use duality_service::LatencySnapshot;
 use std::collections::BTreeMap;
-
-/// Folds `us` into an accumulating [`LatencySnapshot`] with the same
-/// bucket geometry the engine's live histogram uses.
-fn fold_us(hist: &mut LatencySnapshot, us: u64) {
-    let idx = (64 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-    hist.buckets[idx] += 1;
-    hist.count += 1;
-    hist.sum_us += us;
-    hist.max_us = hist.max_us.max(us);
-}
 
 /// Merges `from` into `into` (per-bucket sums; max of maxes).
 pub(crate) fn merge(into: &mut LatencySnapshot, from: &LatencySnapshot) {
@@ -131,10 +120,10 @@ impl TenantLedger {
                 return; // never queued: nothing to bill to wait/service
             }
         }
-        fold_us(&mut stats.wait, span.wait_us());
+        stats.wait.record(span.wait_us());
         if let Some(service_us) = span.service_us() {
-            fold_us(&mut stats.service, service_us);
-            fold_us(&mut stats.total, span.total_us());
+            stats.service.record(service_us);
+            stats.total.record(span.total_us());
             if self.shard_jobs.len() <= span.shard {
                 self.shard_jobs.resize(span.shard + 1, 0);
             }
@@ -300,9 +289,9 @@ mod tests {
     fn histogram_merge_sums_buckets() {
         let mut a = LatencySnapshot::default();
         let mut b = LatencySnapshot::default();
-        fold_us(&mut a, 10);
-        fold_us(&mut b, 1_000);
-        fold_us(&mut b, 2_000);
+        a.record(10);
+        b.record(1_000);
+        b.record(2_000);
         merge(&mut a, &b);
         assert_eq!(a.count, 3);
         assert_eq!(a.sum_us, 3_010);

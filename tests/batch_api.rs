@@ -4,7 +4,7 @@
 //! (a) `PlanarSolver` / `PlanarInstance` are `Send + Sync` and a solver
 //!     outlives the scope that built its graph;
 //! (b) `run_batch` on ≥ 2 threads agrees bit-for-bit with serial
-//!     execution of the same six-query S1 workload;
+//!     execution of the same six-query workload;
 //! (c) the substrate is built exactly once under a multi-threaded batch
 //!     and under concurrent queries from solver clones;
 //! (d) duplicate queries are deduplicated;
@@ -39,9 +39,9 @@ fn solver_outlives_its_construction_scope() {
     assert!(handle.join().unwrap() > 0);
 }
 
-/// The six-query S1 workload: four max-flows between distinct corner
+/// The six-query workload: four max-flows between distinct corner
 /// pairs, one global min cut, one girth.
-fn s1_workload(g: &PlanarGraph, w: usize) -> Vec<Query> {
+fn six_query_workload(g: &PlanarGraph, w: usize) -> Vec<Query> {
     let n = g.num_vertices();
     vec![
         Query::MaxFlow { s: 0, t: n - 1 },
@@ -53,7 +53,8 @@ fn s1_workload(g: &PlanarGraph, w: usize) -> Vec<Query> {
     ]
 }
 
-fn s1_solver(g: &PlanarGraph, seed: u64) -> PlanarSolver {
+/// A solver over `g` with capacities and edge weights drawn from `seed`.
+fn seeded_solver(g: &PlanarGraph, seed: u64) -> PlanarSolver {
     let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, seed);
     let weights = gen::random_edge_weights(g.num_edges(), 1, 9, seed + 1);
     PlanarSolver::builder(g)
@@ -99,16 +100,16 @@ fn fingerprint(o: &Outcome) -> (Vec<Weight>, Vec<usize>, u64) {
 
 /// (b) Batch-vs-serial agreement, bit for bit, across thread counts.
 #[test]
-fn batch_agrees_with_serial_on_the_s1_workload() {
+fn batch_agrees_with_serial_on_the_six_query_workload() {
     let g = gen::diag_grid(8, 6, 7).unwrap();
-    let queries = s1_workload(&g, 8);
+    let queries = six_query_workload(&g, 8);
 
     // Serial: one solver, queries one at a time through `run`.
-    let serial = s1_solver(&g, 7);
+    let serial = seeded_solver(&g, 7);
     let serial_outcomes: Vec<Outcome> = queries.iter().map(|&q| serial.run(q).unwrap()).collect();
 
     for threads in [2usize, 4] {
-        let batched = s1_solver(&g, 7);
+        let batched = seeded_solver(&g, 7);
         let batch = batched.run_batch_on(&queries, threads);
         assert!(batch.all_ok());
         assert_eq!(batch.threads, threads.min(queries.len()));
@@ -135,7 +136,7 @@ fn batch_agrees_with_serial_on_the_s1_workload() {
 #[test]
 fn substrate_builds_exactly_once_under_concurrency() {
     let g = gen::diag_grid(6, 5, 3).unwrap();
-    let solver = s1_solver(&g, 3);
+    let solver = seeded_solver(&g, 3);
     let n = g.num_vertices();
 
     let values: Vec<Weight> = std::thread::scope(|scope| {
@@ -167,8 +168,8 @@ fn substrate_builds_exactly_once_under_concurrency() {
 #[test]
 fn batch_substrate_once_and_merged_bill() {
     let g = gen::diag_grid(8, 6, 9).unwrap();
-    let solver = s1_solver(&g, 9);
-    let queries = s1_workload(&g, 8);
+    let solver = seeded_solver(&g, 9);
+    let queries = six_query_workload(&g, 8);
     let batch = solver.run_batch_on(&queries, 3);
 
     assert!(batch.all_ok());
@@ -200,7 +201,7 @@ fn batch_substrate_once_and_merged_bill() {
 #[test]
 fn duplicates_are_executed_once() {
     let g = gen::diag_grid(5, 5, 13).unwrap();
-    let solver = s1_solver(&g, 13);
+    let solver = seeded_solver(&g, 13);
     let n = g.num_vertices();
     let q = Query::MaxFlow { s: 0, t: n - 1 };
     let batch = solver.run_batch_on(&[q, Query::Girth, q, q, Query::Girth], 2);

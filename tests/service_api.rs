@@ -326,4 +326,18 @@ fn respecs_share_their_home_shard_donor() {
     let (a, b) = (engine.solver(&base), engine.solver(&respec));
     assert!(Arc::ptr_eq(a.topo_substrate(), b.topo_substrate()));
     assert_eq!(engine.pool_stats().respec_reuses, 1);
+
+    // The engine bills the pair's substrate as fresh-per-spec serial
+    // execution of the same query, minus the one topology share the
+    // respec reused.
+    let fresh = |i: &Arc<PlanarInstance>| {
+        let solver = PlanarSolver::from_instance(Arc::clone(i));
+        solver.run(Query::GlobalMinCut).unwrap();
+        solver
+    };
+    let (fresh_base, fresh_respec) = (fresh(&base), fresh(&respec));
+    let serial = fresh_base.substrate_rounds().total() + fresh_respec.substrate_rounds().total();
+    let topo_share = fresh_respec.substrate_topo_rounds().total();
+    assert!(topo_share > 0);
+    assert_eq!(engine.shutdown().substrate_rounds(), serial - topo_share);
 }
