@@ -347,11 +347,7 @@ fn live_fleet_snapshot() -> duality_telemetry::TelemetrySnapshot {
         }
     }
     let metrics = engine.shutdown();
-    telemetry.set_pool_bytes(
-        metrics.resident_bytes(),
-        metrics.peak_resident_bytes(),
-        metrics.evicted_bytes(),
-    );
+    telemetry.set_pool_bytes(metrics.pool_total().bytes);
     telemetry.snapshot()
 }
 

@@ -19,13 +19,6 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// A two-part id (`function_name/parameter`).
-    pub fn new(function_name: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            label: format!("{function_name}/{parameter}"),
-        }
-    }
-
     /// An id carrying only the parameter.
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
         BenchmarkId {
@@ -36,7 +29,7 @@ impl BenchmarkId {
 
 impl std::fmt::Display for BenchmarkId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.label)
+        f.pad(&self.label)
     }
 }
 
@@ -98,12 +91,16 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    fn run(&mut self, id: String, f: impl FnOnce(&mut Bencher)) {
+    /// Benchmarks `f` with a borrowed input value.
+    pub fn bench_with_input<I: ?Sized, F>(&mut self, id: BenchmarkId, input: &I, f: F) -> &mut Self
+    where
+        F: FnOnce(&mut Bencher, &I),
+    {
         let mut b = Bencher {
             samples: self.samples,
             last: None,
         };
-        f(&mut b);
+        f(&mut b, input);
         match b.last {
             Some((mean, min, median)) => println!(
                 "{}/{id:<24} mean {:>12}   median {:>12}   min {:>12}",
@@ -114,23 +111,6 @@ impl BenchmarkGroup<'_> {
             ),
             None => println!("{}/{id}: no measurement (iter never called)", self.name),
         }
-    }
-
-    /// Benchmarks `f` with a borrowed input value.
-    pub fn bench_with_input<I: ?Sized, F>(&mut self, id: BenchmarkId, input: &I, f: F) -> &mut Self
-    where
-        F: FnOnce(&mut Bencher, &I),
-    {
-        self.run(id.to_string(), |b| f(b, input));
-        self
-    }
-
-    /// Benchmarks a closure under a plain name.
-    pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, f: F) -> &mut Self
-    where
-        F: FnOnce(&mut Bencher),
-    {
-        self.run(id.to_string(), f);
         self
     }
 
@@ -152,16 +132,6 @@ impl Criterion {
             samples: 10,
             _criterion: self,
         }
-    }
-
-    /// Benchmarks a closure outside any group.
-    pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, f: F) -> &mut Self
-    where
-        F: FnOnce(&mut Bencher),
-    {
-        self.benchmark_group(id.to_string())
-            .bench_function("run", f);
-        self
     }
 }
 
@@ -198,21 +168,23 @@ mod tests {
         let mut group = c.benchmark_group("smoke");
         group.sample_size(3);
         group.bench_with_input(BenchmarkId::from_parameter("x"), &21u64, |b, &x| {
-            b.iter(|| x * 2)
+            b.iter(|| black_box(x * 2))
         });
-        group.bench_function("plain", |b| b.iter(|| black_box(1 + 1)));
         group.finish();
     }
 
     #[test]
     fn ids_format() {
-        assert_eq!(BenchmarkId::new("f", 3).to_string(), "f/3");
         assert_eq!(BenchmarkId::from_parameter("8x8").to_string(), "8x8");
     }
 
     criterion_group!(demo_group, demo_bench);
     fn demo_bench(c: &mut Criterion) {
-        c.bench_function("noop", |b| b.iter(|| ()));
+        c.benchmark_group("demo").bench_with_input(
+            BenchmarkId::from_parameter("noop"),
+            &(),
+            |b, ()| b.iter(|| ()),
+        );
     }
 
     #[test]

@@ -354,9 +354,7 @@ mod tests {
             dropped: 0,
             shard_jobs: vec![total.count],
             phase_us: vec![],
-            resident_bytes: 0,
-            peak_resident_bytes: 0,
-            evicted_bytes: 0,
+            pool_bytes: Default::default(),
             tenants: vec![TenantTelemetry {
                 tenant: 9,
                 name: None,

@@ -26,7 +26,7 @@ use crate::error::ControlError;
 use crate::plan::{Action, Plan};
 use crate::spec::{FleetSpec, TenantDecl};
 use crate::store::{Snapshot, StateStore, SNAPSHOT_SCHEMA_VERSION};
-use duality_core::{InstanceKey, PlanarInstance};
+use duality_core::{InstanceKey, PlanarInstance, PoolBytes};
 use duality_planar::gen;
 use duality_service::{AdmissionPolicy, MetricsSnapshot, SchedStats, ServiceEngine};
 use duality_telemetry::Telemetry;
@@ -130,13 +130,10 @@ pub struct FleetObservation {
     pub scheduler: SchedStats,
     /// Fleet-wide p99 latency, when any job has completed.
     pub p99_us: Option<u64>,
-    /// Solver bytes resident across every shard pool (measured at
-    /// observation time via [`duality_core::HeapSize`]).
-    pub resident_bytes: u64,
-    /// High-water resident bytes across the fleet's pools.
-    pub peak_resident_bytes: u64,
-    /// Cumulative bytes freed by pool evictions.
-    pub evicted_bytes: u64,
+    /// The fleet's pool byte gauges: resident bytes measured at
+    /// observation time via [`duality_core::HeapSize`], the summed peaks,
+    /// and the bytes freed by evictions.
+    pub pool_bytes: PoolBytes,
     /// Amortized substrate build µs billed across the fleet (each build
     /// charged once, summed over its phases).
     pub substrate_build_us: u64,
@@ -442,14 +439,11 @@ impl Reconciler {
     pub fn observe(&self) -> FleetObservation {
         let metrics = self.engine.metrics();
         let p99_us = metrics.latency.quantile_us(0.99);
+        let pool_bytes = metrics.pool_total().bytes;
         // Push the pulled byte gauges into the telemetry spine, so its
         // exported snapshots carry memory truth alongside attribution.
         if let Some(tel) = &self.telemetry {
-            tel.set_pool_bytes(
-                metrics.resident_bytes(),
-                metrics.peak_resident_bytes(),
-                metrics.evicted_bytes(),
-            );
+            tel.set_pool_bytes(pool_bytes);
         }
         let attribution = self.telemetry.as_ref().map(|t| t.snapshot());
         let residency = self.engine.shard_residency();
@@ -512,9 +506,7 @@ impl Reconciler {
             running: metrics.running,
             scheduler: metrics.scheduler,
             p99_us,
-            resident_bytes: metrics.resident_bytes(),
-            peak_resident_bytes: metrics.peak_resident_bytes(),
-            evicted_bytes: metrics.evicted_bytes(),
+            pool_bytes,
             substrate_build_us: metrics.substrate_us(),
             tenants,
             strays,
@@ -920,9 +912,12 @@ mod tests {
         let mut r = Reconciler::launch_with_telemetry(spec(), Arc::clone(&telemetry)).unwrap();
         r.reconcile().unwrap();
         let obs = r.observe();
-        assert!(obs.resident_bytes > 0, "prewarmed solvers occupy bytes");
-        assert!(obs.peak_resident_bytes >= obs.resident_bytes);
-        assert_eq!(obs.evicted_bytes, 0, "nothing evicted yet");
+        assert!(
+            obs.pool_bytes.resident > 0,
+            "prewarmed solvers occupy bytes"
+        );
+        assert!(obs.pool_bytes.peak >= obs.pool_bytes.resident);
+        assert_eq!(obs.pool_bytes.evicted, 0, "nothing evicted yet");
         // A query bills its substrate build; the next observation sees it.
         let instance = Arc::clone(r.instance("a").unwrap());
         r.engine()
@@ -932,8 +927,8 @@ mod tests {
         assert!(obs.substrate_build_us > 0 || !telemetry.snapshot().phase_us.is_empty());
         // Observing stamped the gauges into the telemetry spine.
         let snap = telemetry.snapshot();
-        assert_eq!(snap.resident_bytes, obs.resident_bytes);
-        assert!(snap.peak_resident_bytes >= obs.resident_bytes);
+        assert_eq!(snap.pool_bytes.resident, obs.pool_bytes.resident);
+        assert!(snap.pool_bytes.peak >= obs.pool_bytes.resident);
         r.shutdown();
     }
 

@@ -55,7 +55,7 @@ pub mod verify;
 pub use error::DualityError;
 pub use heap_size::HeapSize;
 pub use instance::PlanarInstance;
-pub use pool::{InstanceKey, PoolStats, ResidentEntry, SolverPool};
+pub use pool::{InstanceKey, PoolBytes, PoolStats, ResidentEntry, SolverPool};
 pub use solver::{
     BatchReport, Outcome, PlanarSolver, Query, SolverBuilder, SolverStats, TopoSubstrate,
 };

@@ -149,6 +149,44 @@ fn same_embedding(a: &Arc<PlanarGraph>, b: &Arc<PlanarGraph>) -> bool {
             .all(|d| a.tail(d) == b.tail(d) && a.next_around_tail(d) == b.next_around_tail(d))
 }
 
+/// The byte gauges of a pool's cached solvers (see [`crate::heap_size`]
+/// for the accounting conventions) — the one byte record that the pool,
+/// the engine metrics, the telemetry spine and the control plane all
+/// carry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolBytes {
+    /// Estimated heap bytes of the cached solvers right now. Refreshed on
+    /// every [`SolverPool::stats`] call and admission, so lazily built
+    /// substrate growth is observed, not just admission-time size.
+    pub resident: u64,
+    /// High-water mark of `resident` over the pool's lifetime.
+    pub peak: u64,
+    /// Cumulative bytes released by evictions (capacity-, budget- and
+    /// policy-driven alike).
+    pub evicted: u64,
+}
+
+impl PoolBytes {
+    /// Adds another pool's gauges to these. Peaks sum too, so a merged
+    /// peak bounds the combined peak from above (the pools need not have
+    /// peaked at the same instant).
+    pub fn absorb(&mut self, other: &PoolBytes) {
+        self.resident += other.resident;
+        self.peak += other.peak;
+        self.evicted += other.evicted;
+    }
+}
+
+impl std::fmt::Display for PoolBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} B resident (peak {} B, evicted {} B)",
+            self.resident, self.peak, self.evicted
+        )
+    }
+}
+
 /// Counters of a [`SolverPool`] (see [`SolverPool::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -171,16 +209,8 @@ pub struct PoolStats {
     pub len: usize,
     /// Maximum entries the pool retains.
     pub capacity: usize,
-    /// Estimated heap bytes of the cached solvers right now (see
-    /// [`crate::heap_size`] for the accounting conventions). Refreshed on
-    /// every [`SolverPool::stats`] call and admission, so lazily built
-    /// substrate growth is observed, not just admission-time size.
-    pub resident_bytes: u64,
-    /// High-water mark of `resident_bytes` over the pool's lifetime.
-    pub peak_resident_bytes: u64,
-    /// Cumulative bytes released by evictions (capacity-, budget- and
-    /// policy-driven alike).
-    pub evicted_bytes: u64,
+    /// Resident, peak and evicted heap bytes of the cached solvers.
+    pub bytes: PoolBytes,
     /// The byte budget admissions are held to (0 = count-capped only).
     pub byte_budget: u64,
 }
@@ -198,9 +228,7 @@ impl PoolStats {
         self.lock_contended += other.lock_contended;
         self.len += other.len;
         self.capacity += other.capacity;
-        self.resident_bytes += other.resident_bytes;
-        self.peak_resident_bytes += other.peak_resident_bytes;
-        self.evicted_bytes += other.evicted_bytes;
+        self.bytes.absorb(&other.bytes);
         self.byte_budget += other.byte_budget;
     }
 
@@ -218,8 +246,7 @@ impl std::fmt::Display for PoolStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "pool: {}/{} entries, {} hits, {} misses ({} respec-reuses), {} evictions, {} lock waits, \
-             {} B resident (peak {} B, evicted {} B)",
+            "pool: {}/{} entries, {} hits, {} misses ({} respec-reuses), {} evictions, {} lock waits, {}",
             self.len,
             self.capacity,
             self.hits,
@@ -227,9 +254,7 @@ impl std::fmt::Display for PoolStats {
             self.respec_reuses,
             self.evictions,
             self.lock_contended,
-            self.resident_bytes,
-            self.peak_resident_bytes,
-            self.evicted_bytes
+            self.bytes
         )
     }
 }
@@ -266,22 +291,18 @@ struct PoolEntry {
 /// Everything behind one lock: the LRU list (most recently used last),
 /// the logical lookup clock and the counters, so a lookup updates all of
 /// them atomically.
+#[derive(Default)]
 struct PoolInner {
     entries: Vec<PoolEntry>,
     /// Advances once per instance- or key-bearing lookup; entries stamp
     /// it into `touched` when hit or admitted.
     clock: u64,
-    hits: u64,
-    misses: u64,
-    respec_reuses: u64,
-    evictions: u64,
-    /// Sum of the entries' `bytes` (kept in lockstep with every insert,
-    /// eviction and remeasure).
-    resident_bytes: u64,
-    /// High-water mark of `resident_bytes`.
-    peak_resident_bytes: u64,
-    /// Cumulative bytes released by evictions.
-    evicted_bytes: u64,
+    /// The lookup, eviction and byte counters. `bytes.resident` is the
+    /// sum of the entries' `bytes`, kept in lockstep with every insert,
+    /// eviction and remeasure; the fields that live outside the lock
+    /// (`len`, `capacity`, `lock_contended`, `byte_budget`) stay zero
+    /// here and are filled in by [`SolverPool::stats`].
+    stats: PoolStats,
 }
 
 impl PoolInner {
@@ -296,16 +317,26 @@ impl PoolInner {
             entry.bytes = entry.solver.heap_bytes() as u64;
             resident += entry.bytes;
         }
-        self.resident_bytes = resident;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(resident);
+        self.stats.bytes.resident = resident;
+        self.stats.bytes.peak = self.stats.bytes.peak.max(resident);
     }
 
-    /// Removes the LRU entry (index 0) and books the eviction.
-    fn evict_coldest(&mut self) {
-        let victim = self.entries.remove(0);
-        self.evictions += 1;
-        self.evicted_bytes += victim.bytes;
-        self.resident_bytes = self.resident_bytes.saturating_sub(victim.bytes);
+    /// Marks the entry at `pos` most recently used (it moves last) and
+    /// returns a clone of its solver.
+    fn touch(&mut self, pos: usize) -> PlanarSolver {
+        let mut entry = self.entries.remove(pos);
+        entry.touched = self.clock;
+        let solver = entry.solver.clone();
+        self.entries.push(entry);
+        solver
+    }
+
+    /// Removes the entry at `pos` and books the eviction.
+    fn evict_at(&mut self, pos: usize) {
+        let victim = self.entries.remove(pos);
+        self.stats.evictions += 1;
+        self.stats.bytes.evicted += victim.bytes;
+        self.stats.bytes.resident = self.stats.bytes.resident.saturating_sub(victim.bytes);
     }
 }
 
@@ -334,17 +365,7 @@ impl SolverPool {
     /// budget.
     pub fn new(capacity: usize) -> SolverPool {
         SolverPool {
-            inner: Mutex::new(PoolInner {
-                entries: Vec::new(),
-                clock: 0,
-                hits: 0,
-                misses: 0,
-                respec_reuses: 0,
-                evictions: 0,
-                resident_bytes: 0,
-                peak_resident_bytes: 0,
-                evicted_bytes: 0,
-            }),
+            inner: Mutex::default(),
             contended: AtomicU64::new(0),
             capacity: capacity.max(1),
             byte_budget: None,
@@ -438,23 +459,17 @@ impl SolverPool {
     }
 
     /// Snapshot of the counters. Re-measures the cached solvers first, so
-    /// `resident_bytes` (and the peak high-water) reflect substrate built
-    /// since admission, not stale admission-time sizes.
+    /// the resident bytes (and the peak high-water) reflect substrate
+    /// built since admission, not stale admission-time sizes.
     pub fn stats(&self) -> PoolStats {
         let mut inner = self.lock_inner();
         inner.remeasure();
         PoolStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            respec_reuses: inner.respec_reuses,
-            evictions: inner.evictions,
             lock_contended: self.contended.load(Ordering::Relaxed),
             len: inner.entries.len(),
             capacity: self.capacity,
-            resident_bytes: inner.resident_bytes,
-            peak_resident_bytes: inner.peak_resident_bytes,
-            evicted_bytes: inner.evicted_bytes,
             byte_budget: self.byte_budget.unwrap_or(0),
+            ..inner.stats
         }
     }
 
@@ -498,9 +513,9 @@ impl SolverPool {
         let donor = {
             let mut inner = self.lock_inner();
             if demote {
-                inner.hits -= 1; // the optimistic hit was an impostor
+                inner.stats.hits -= 1; // the optimistic hit was an impostor
             }
-            inner.misses += 1;
+            inner.stats.misses += 1;
             // Respec-reuse candidate: a cached solver over the *same
             // shared graph* (same fingerprint and `Arc::ptr_eq` —
             // fingerprint alone is not trusted) donates its topology
@@ -543,14 +558,10 @@ impl SolverPool {
             .iter()
             .position(|e| e.key == key && same_problem(e.solver.instance(), instance))
         {
-            let mut entry = inner.entries.remove(pos);
-            entry.touched = inner.clock;
-            let cached = entry.solver.clone();
-            inner.entries.push(entry);
-            return cached;
+            return inner.touch(pos);
         }
         if respecced {
-            inner.respec_reuses += 1;
+            inner.stats.respec_reuses += 1;
         }
         let touched = inner.clock;
         inner.entries.push(PoolEntry {
@@ -559,18 +570,18 @@ impl SolverPool {
             touched,
             bytes,
         });
-        inner.resident_bytes += bytes;
-        inner.peak_resident_bytes = inner.peak_resident_bytes.max(inner.resident_bytes);
+        inner.stats.bytes.resident += bytes;
+        inner.stats.bytes.peak = inner.stats.bytes.peak.max(inner.stats.bytes.resident);
         if inner.entries.len() > self.capacity {
-            inner.evict_coldest(); // least recently used sits first
+            inner.evict_at(0); // least recently used sits first
         }
         if let Some(budget) = self.byte_budget {
             // Budget pressure judges *measured* sizes: entries whose
             // substrate grew after admission must carry their real weight
             // before the LRU picks victims, so every admission re-measures.
             inner.remeasure();
-            while inner.resident_bytes > budget && inner.entries.len() > 1 {
-                inner.evict_coldest();
+            while inner.stats.bytes.resident > budget && inner.entries.len() > 1 {
+                inner.evict_at(0);
             }
         }
         solver
@@ -583,13 +594,8 @@ impl SolverPool {
     /// demotes the hit if the match was a key collision.
     fn lookup(inner: &mut PoolInner, key: InstanceKey) -> Option<PlanarSolver> {
         let pos = inner.entries.iter().position(|e| e.key == key)?;
-        inner.hits += 1;
-        // Most recently used goes last.
-        let mut entry = inner.entries.remove(pos);
-        entry.touched = inner.clock;
-        let solver = entry.solver.clone();
-        inner.entries.push(entry);
-        Some(solver)
+        inner.stats.hits += 1;
+        Some(inner.touch(pos))
     }
 
     /// The cached solver under `key`, by key alone (marks it most recently
@@ -603,13 +609,7 @@ impl SolverPool {
     pub fn get(&self, key: &InstanceKey) -> Option<PlanarSolver> {
         let mut inner = self.lock_inner();
         inner.clock += 1;
-        let pos = inner.entries.iter().position(|e| e.key == *key)?;
-        inner.hits += 1;
-        let mut entry = inner.entries.remove(pos);
-        entry.touched = inner.clock;
-        let solver = entry.solver.clone();
-        inner.entries.push(entry);
-        Some(solver)
+        Self::lookup(&mut inner, *key)
     }
 
     /// The residency table: one [`ResidentEntry`] per cached solver, in
@@ -639,10 +639,7 @@ impl SolverPool {
         let Some(pos) = inner.entries.iter().position(|e| e.key == *key) else {
             return false;
         };
-        let victim = inner.entries.remove(pos);
-        inner.evictions += 1;
-        inner.evicted_bytes += victim.bytes;
-        inner.resident_bytes = inner.resident_bytes.saturating_sub(victim.bytes);
+        inner.evict_at(pos);
         true
     }
 
@@ -968,9 +965,11 @@ mod tests {
             lock_contended: 5,
             len: 2,
             capacity: 4,
-            resident_bytes: 1000,
-            peak_resident_bytes: 1500,
-            evicted_bytes: 0,
+            bytes: PoolBytes {
+                resident: 1000,
+                peak: 1500,
+                evicted: 0,
+            },
             byte_budget: 4096,
         };
         let b = PoolStats {
@@ -981,9 +980,11 @@ mod tests {
             lock_contended: 1,
             len: 1,
             capacity: 8,
-            resident_bytes: 200,
-            peak_resident_bytes: 700,
-            evicted_bytes: 500,
+            bytes: PoolBytes {
+                resident: 200,
+                peak: 700,
+                evicted: 500,
+            },
             byte_budget: 0,
         };
         let merged = PoolStats::merged([&a, &b]);
@@ -993,9 +994,14 @@ mod tests {
         assert_eq!(merged.evictions, 2);
         assert_eq!(merged.lock_contended, 6);
         assert_eq!((merged.len, merged.capacity), (3, 12));
-        assert_eq!(merged.resident_bytes, 1200);
-        assert_eq!(merged.peak_resident_bytes, 2200);
-        assert_eq!(merged.evicted_bytes, 500);
+        assert_eq!(
+            merged.bytes,
+            PoolBytes {
+                resident: 1200,
+                peak: 2200,
+                evicted: 500
+            }
+        );
         assert_eq!(merged.byte_budget, 4096);
         assert_eq!(PoolStats::merged([]), PoolStats::default());
         let mut acc = a;
@@ -1059,7 +1065,7 @@ mod tests {
         let i = instance(50);
         pool.solver(&i);
         let cold = pool.stats();
-        assert!(cold.resident_bytes > 0, "the instance alone has heap bytes");
+        assert!(cold.bytes.resident > 0, "the instance alone has heap bytes");
         assert_eq!(cold.byte_budget, 0, "no budget configured");
         // Run a query: the substrate builds lazily, so the *same* entry
         // must now measure larger — stats() observes growth.
@@ -1067,13 +1073,13 @@ mod tests {
         pool.run(&i, Query::MaxFlow { s: 0, t }).unwrap();
         let warm = pool.stats();
         assert!(
-            warm.resident_bytes > cold.resident_bytes,
+            warm.bytes.resident > cold.bytes.resident,
             "substrate built after admission is re-measured ({} vs {})",
-            warm.resident_bytes,
-            cold.resident_bytes
+            warm.bytes.resident,
+            cold.bytes.resident
         );
-        assert!(warm.peak_resident_bytes >= warm.resident_bytes);
-        assert_eq!(warm.evicted_bytes, 0);
+        assert!(warm.bytes.peak >= warm.bytes.resident);
+        assert_eq!(warm.bytes.evicted, 0);
         assert!(warm.to_string().contains("B resident"));
     }
 
@@ -1091,11 +1097,11 @@ mod tests {
         // one warm solver of each size through throwaway pools.
         let probe = SolverPool::new(1);
         probe.run(&small[0], Query::Girth).unwrap();
-        let small_warm = probe.stats().resident_bytes;
+        let small_warm = probe.stats().bytes.resident;
         let probe = SolverPool::new(1);
         let t = large.n() - 1;
         probe.run(&large, Query::MaxFlow { s: 0, t }).unwrap();
-        let large_warm = probe.stats().resident_bytes;
+        let large_warm = probe.stats().bytes.resident;
         assert!(large_warm > 3 * small_warm, "the large solver dominates");
 
         let pool = SolverPool::with_byte_budget(16, 4 * small_warm);
@@ -1120,10 +1126,10 @@ mod tests {
         let stats = pool.stats();
         assert!(stats.evictions >= 1);
         assert!(
-            stats.evicted_bytes >= large_warm / 2,
+            stats.bytes.evicted >= large_warm / 2,
             "the victim's real weight is booked"
         );
-        assert!(stats.resident_bytes <= 4 * small_warm || stats.len == 1);
+        assert!(stats.bytes.resident <= 4 * small_warm || stats.len == 1);
     }
 
     #[test]

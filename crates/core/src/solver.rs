@@ -619,13 +619,12 @@ impl TopoSubstrate {
     /// BFS-flood charge lands in the topology ledger).
     fn cost_model(&self) -> CostModel {
         *self.cost_model.get_or_init(|| {
-            let timer = PhaseTimer::start("embed");
-            let cm = CostModel::new(self.graph.num_vertices(), self.graph.diameter());
-            // Distributedly the diameter estimate is a BFS flood + upcast.
-            let mut ledger = self.ledger.lock().expect("topo substrate lock");
-            ledger.charge("substrate-diameter", cm.bfs(cm.d) + cm.global_aggregate());
-            timer.stop(&mut ledger);
-            cm
+            build_phase(&self.ledger, "embed", |ledger| {
+                let cm = CostModel::new(self.graph.num_vertices(), self.graph.diameter());
+                // Distributedly the diameter estimate is a BFS flood + upcast.
+                ledger.charge("substrate-diameter", cm.bfs(cm.d) + cm.global_aggregate());
+                cm
+            })
         })
     }
 
@@ -633,16 +632,14 @@ impl TopoSubstrate {
         let cm = self.cost_model();
         self.engine.get_or_init(|| {
             self.engine_builds.fetch_add(1, Ordering::Relaxed);
-            let timer = PhaseTimer::start("bdd");
-            let mut ledger = self.ledger.lock().expect("topo substrate lock");
-            let engine = DualSsspEngine::new(
-                Arc::clone(&self.graph),
-                &cm,
-                self.leaf_threshold,
-                &mut ledger,
-            );
-            timer.stop(&mut ledger);
-            Arc::new(engine)
+            build_phase(&self.ledger, "bdd", |ledger| {
+                Arc::new(DualSsspEngine::new(
+                    Arc::clone(&self.graph),
+                    &cm,
+                    self.leaf_threshold,
+                    ledger,
+                ))
+            })
         })
     }
 
@@ -650,15 +647,34 @@ impl TopoSubstrate {
         let cm = self.cost_model();
         self.dual.get_or_init(|| {
             self.dual_builds.fetch_add(1, Ordering::Relaxed);
-            let timer = PhaseTimer::start("dual");
-            let dual = dual::dual_graph(&self.graph)
-                .expect("the dual of a valid embedding is a valid embedding");
-            let mut ledger = self.ledger.lock().expect("topo substrate lock");
-            ledger.charge("substrate-dual", cm.dual_part_wise_aggregation());
-            timer.stop(&mut ledger);
-            dual
+            build_phase(&self.ledger, "dual", |ledger| {
+                let dual = dual::dual_graph(&self.graph)
+                    .expect("the dual of a valid embedding is a valid embedding");
+                ledger.charge("substrate-dual", cm.dual_part_wise_aggregation());
+                dual
+            })
         })
     }
+}
+
+/// Runs one substrate build phase against a local ledger, timed under
+/// `phase`, then absorbs that ledger into the tier's `ledger` under a
+/// short lock. The build never runs with the lock held, so a panicking
+/// build cannot poison it: the tier keeps reporting its rounds, and the
+/// next build on the same topology or spec retries cleanly. `absorb`
+/// appends phases in first-charge order, so totals and the append-only
+/// phase order stay what charging in place would give.
+fn build_phase<T>(
+    ledger: &Mutex<CostLedger>,
+    phase: &'static str,
+    build: impl FnOnce(&mut CostLedger) -> T,
+) -> T {
+    let timer = PhaseTimer::start(phase);
+    let mut local = CostLedger::new();
+    let out = build(&mut local);
+    timer.stop(&mut local);
+    ledger.lock().expect("substrate ledger lock").absorb(&local);
+    out
 }
 
 /// The **weight tier** of the substrate: artifacts keyed by the current
@@ -688,19 +704,18 @@ impl WeightSubstrate {
     fn labels(&self, engine: &Arc<DualSsspEngine>, weights: &[Weight]) -> &DualLabels {
         self.labels.get_or_init(|| {
             self.label_builds.fetch_add(1, Ordering::Relaxed);
-            let prep_timer = PhaseTimer::start("weight-tier");
-            let mut lengths = vec![0; engine.graph.num_darts()];
-            for (e, &w) in weights.iter().enumerate() {
-                lengths[Dart::forward(e).index()] = w;
-            }
-            let mut ledger = self.ledger.lock().expect("weight substrate lock");
-            prep_timer.stop(&mut ledger);
-            let label_timer = PhaseTimer::start("labeling");
-            let labels = engine
-                .labels(&lengths, &mut ledger)
-                .expect("non-negative lengths have no negative cycle");
-            label_timer.stop(&mut ledger);
-            labels
+            let lengths = build_phase(&self.ledger, "weight-tier", |_| {
+                let mut lengths = vec![0; engine.graph.num_darts()];
+                for (e, &w) in weights.iter().enumerate() {
+                    lengths[Dart::forward(e).index()] = w;
+                }
+                lengths
+            });
+            build_phase(&self.ledger, "labeling", |ledger| {
+                engine
+                    .labels(&lengths, ledger)
+                    .expect("non-negative lengths have no negative cycle")
+            })
         })
     }
 }
@@ -1472,6 +1487,25 @@ mod tests {
     fn grid_solver(g: &PlanarGraph, seed: u64) -> PlanarSolver {
         let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, seed);
         PlanarSolver::builder(g).capacities(caps).build().unwrap()
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_its_ledger_usable() {
+        let ledger = Mutex::new(CostLedger::new());
+        let failed = std::panic::catch_unwind(|| {
+            build_phase(&ledger, "bdd", |local| {
+                local.charge("bdd-partial", 5);
+                panic!("injected build failure")
+            })
+        });
+        assert!(failed.is_err());
+        assert!(!ledger.is_poisoned(), "the build ran outside the lock");
+        build_phase(&ledger, "dual", |local| local.charge("substrate-dual", 7));
+        let ledger = ledger.lock().unwrap();
+        assert_eq!(ledger.total(), 7, "only the completed build is charged");
+        assert_eq!(ledger.phase_total("substrate-dual"), 7);
+        assert_eq!(ledger.phases_us().len(), 1);
+        assert_eq!(ledger.phases_us()[0].0, "dual", "its phase µs are charged");
     }
 
     #[test]

@@ -64,9 +64,9 @@ pub fn render_dashboard(envelopes: &[Envelope], telemetry: Option<&TelemetrySnap
 fn render_telemetry(out: &mut String, snap: &TelemetrySnapshot) {
     out.push_str("<h2>Live fleet</h2>\n<div>\n");
     for (label, value) in [
-        ("resident", snap.resident_bytes),
-        ("peak resident", snap.peak_resident_bytes),
-        ("evicted", snap.evicted_bytes),
+        ("resident", snap.pool_bytes.resident),
+        ("peak resident", snap.pool_bytes.peak),
+        ("evicted", snap.pool_bytes.evicted),
     ] {
         out.push_str(&format!(
             "<span class=\"gauge\"><b>{}</b>pool {label}</span>\n",
@@ -317,11 +317,7 @@ mod tests {
         telemetry.name_tenant(&i, "alpha");
         engine.run(&i, Query::Girth).unwrap();
         let m = engine.shutdown();
-        telemetry.set_pool_bytes(
-            m.resident_bytes(),
-            m.peak_resident_bytes(),
-            m.evicted_bytes(),
-        );
+        telemetry.set_pool_bytes(m.pool_total().bytes);
         let snap = telemetry.snapshot();
 
         let html = render_dashboard(&[], Some(&snap));

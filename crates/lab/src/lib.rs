@@ -71,7 +71,7 @@ pub mod trace;
 
 pub use compare::{CompareReport, Tolerances};
 pub use dashboard::render_dashboard;
-pub use envelope::{EnvRow, Envelope, Json, BENCH_SCHEMA_VERSION};
+pub use envelope::{EnvRow, Envelope, BENCH_SCHEMA_VERSION};
 pub use error::LabError;
 pub use report::render_trajectory;
 pub use runner::{run_spec, SUBSTRATE_PHASES};

@@ -378,13 +378,9 @@ fn run_memory_cell(
         .map_err(|e| LabError::Workload(WorkloadError::from(e)))?;
     harvest(submit_all(&engine, jobs.iter())?);
     let m = engine.shutdown();
-    telemetry.set_pool_bytes(
-        m.resident_bytes(),
-        m.peak_resident_bytes(),
-        m.evicted_bytes(),
-    );
-    let snap = telemetry.snapshot();
     let pool = m.pool_total();
+    telemetry.set_pool_bytes(pool.bytes);
+    let snap = telemetry.snapshot();
     let mut values = vec![
         ("jobs".into(), jobs.len() as f64),
         ("completed".into(), m.completed as f64),
@@ -402,9 +398,9 @@ fn run_memory_cell(
             "substrate-build-us".into(),
             snap.phase_us.iter().map(|(_, us)| us).sum::<u64>() as f64,
         ),
-        ("resident-bytes".into(), m.resident_bytes() as f64),
-        ("peak-resident-bytes".into(), m.peak_resident_bytes() as f64),
-        ("evicted-bytes".into(), m.evicted_bytes() as f64),
+        ("resident-bytes".into(), pool.bytes.resident as f64),
+        ("peak-resident-bytes".into(), pool.bytes.peak as f64),
+        ("evicted-bytes".into(), pool.bytes.evicted as f64),
         ("byte-budget".into(), settings.pool_byte_budget as f64),
         ("pool-hits".into(), pool.hits as f64),
         ("pool-misses".into(), pool.misses as f64),

@@ -548,11 +548,6 @@ fn write_inline(out: &mut String, s: &Scenario, smoke: bool) {
     if let Some(d) = s.deadline_ticks {
         f.push(("deadline_ticks", Val::n(d)));
     }
-    // Only the non-default stride is written, so pre-existing spec
-    // files stay byte-stable through their round trip.
-    if s.tenant_seed_stride != 3 {
-        f.push(("seed_stride", Val::n(s.tenant_seed_stride)));
-    }
     line(out, &f);
     for t in &s.tenants {
         let mut f = vec![("kind", Val::s("tenant"))];
@@ -666,7 +661,6 @@ fn parse_scenario_line(obj: &Obj) -> Result<Scenario, String> {
         mutations: Vec::new(),
         tenant_skew: obj.u64("tenant_skew")? as u32,
         deadline_ticks: obj.opt_u64("deadline_ticks")?,
-        tenant_seed_stride: obj.opt_u64("seed_stride")?.unwrap_or(3),
     })
 }
 

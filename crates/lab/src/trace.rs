@@ -13,15 +13,15 @@
 //! format expects; `pid` carries the shard and `tid` the worker, so the
 //! viewer's track layout *is* the fleet layout.
 //!
-//! [`parse_chrome_json`] reads the document back (through the lab's own
-//! [`Json`] reader), so the writer is covered by a round-trip test
-//! rather than by eyeballing a browser.
+//! [`parse_chrome_json`] reads the document back (through the shared
+//! [`duality_workload::jsonl`] reader), so the writer is covered by a
+//! round-trip test rather than by eyeballing a browser.
 
-use crate::envelope::Json;
 use crate::error::LabError;
 use crate::spec::LabSpec;
 use duality_service::{AdmissionPolicy, PhaseSpan, ServiceEngine, SpanRecord, SpanSink};
 use duality_telemetry::RingSink;
+use duality_workload::jsonl::{json_string, Val};
 use duality_workload::WorkloadError;
 use std::sync::Arc;
 
@@ -145,40 +145,29 @@ pub fn to_chrome_json(slices: &[TraceSlice]) -> String {
 /// phase other than `"X"`.
 pub fn parse_chrome_json(text: &str) -> Result<Vec<TraceSlice>, LabError> {
     let fail = |reason: String| LabError::Parse { line: 0, reason };
-    let doc = Json::parse(text).map_err(&fail)?;
+    let Val::O(doc) = Val::parse(text).map_err(fail)? else {
+        return Err(fail("the trace is not an object".into()));
+    };
     let mut slices = Vec::new();
-    for event in doc.arr("traceEvents").map_err(&fail)? {
-        let ph = event.str("ph").map_err(&fail)?;
+    for event in doc.arr("traceEvents").map_err(fail)? {
+        let Val::O(event) = event else {
+            return Err(fail("traceEvents entries must be objects".into()));
+        };
+        let ph = event.str("ph").map_err(fail)?;
         if ph != "X" {
             return Err(fail(format!("unsupported event phase `{ph}` (want X)")));
         }
+        let num = |key: &str| event.f64(key).map(|v| v.round() as u64).map_err(fail);
         slices.push(TraceSlice {
-            name: event.str("name").map_err(&fail)?.to_string(),
-            cat: event.str("cat").map_err(&fail)?.to_string(),
-            ts_us: event.num("ts").map_err(&fail)?.round() as u64,
-            dur_us: event.num("dur").map_err(&fail)?.round() as u64,
-            pid: event.num("pid").map_err(&fail)?.round() as u64,
-            tid: event.num("tid").map_err(&fail)?.round() as u64,
+            name: event.str("name").map_err(fail)?.to_string(),
+            cat: event.str("cat").map_err(fail)?.to_string(),
+            ts_us: num("ts")?,
+            dur_us: num("dur")?,
+            pid: num("pid")?,
+            tid: num("tid")?,
         });
     }
     Ok(slices)
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -489,21 +489,12 @@ impl MetricsSnapshot {
         self.shards.iter().map(ShardMetrics::substrate_us).sum()
     }
 
-    /// Estimated heap bytes resident across every shard pool right now.
-    pub fn resident_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.pool.resident_bytes).sum()
-    }
-
     /// Sum of the per-shard peak-residency high-water marks — an upper
     /// bound on fleet-wide peak residency (shards may not have peaked at
-    /// the same instant).
+    /// the same instant). The fleet's other byte gauges are in
+    /// [`MetricsSnapshot::pool_total`]'s `bytes`.
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.pool.peak_resident_bytes).sum()
-    }
-
-    /// Cumulative heap bytes released by pool evictions across the fleet.
-    pub fn evicted_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.pool.evicted_bytes).sum()
+        self.pool_total().bytes.peak
     }
 
     /// Jobs admitted but not yet resolved (executing or still queued).
@@ -548,15 +539,10 @@ impl std::fmt::Display for MetricsSnapshot {
             write!(f, ", {phase} {us}µs")?;
         }
         writeln!(f)?;
-        writeln!(
-            f,
-            "memory: {} B resident (peak {} B, evicted {} B)",
-            self.resident_bytes(),
-            self.peak_resident_bytes(),
-            self.evicted_bytes()
-        )?;
+        let pool = self.pool_total();
+        writeln!(f, "memory: {}", pool.bytes)?;
         writeln!(f, "latency: {}", self.latency)?;
-        writeln!(f, "fleet {}", self.pool_total())?;
+        writeln!(f, "fleet {pool}")?;
         for shard in &self.shards {
             writeln!(f, "  {shard}")?;
         }
@@ -568,6 +554,7 @@ impl std::fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
     use duality_congest::CostLedger;
+    use duality_core::pool::PoolBytes;
 
     fn report(topo: u64, weight: u64, query: u64) -> RoundReport {
         let mut r = RoundReport::default();
@@ -680,14 +667,17 @@ mod tests {
 
     #[test]
     fn snapshot_surfaces_bytes_and_build_us_fleet_wide() {
+        let shard0_bytes = PoolBytes {
+            resident: 1_000,
+            peak: 1_500,
+            evicted: 300,
+        };
         let mut shard0 = ShardMetrics {
             shard: 0,
             substrate_phase_us: vec![("bdd".to_string(), 100), ("embed".to_string(), 10)],
             ..Default::default()
         };
-        shard0.pool.resident_bytes = 1_000;
-        shard0.pool.peak_resident_bytes = 1_500;
-        shard0.pool.evicted_bytes = 300;
+        shard0.pool.bytes = shard0_bytes;
         let shard1 = ShardMetrics {
             shard: 1,
             substrate_phase_us: vec![("bdd".to_string(), 50)],
@@ -702,9 +692,8 @@ mod tests {
             snap.substrate_phase_us(),
             vec![("bdd".to_string(), 150), ("embed".to_string(), 10)]
         );
-        assert_eq!(snap.resident_bytes(), 1_000);
+        assert_eq!(snap.pool_total().bytes, shard0_bytes);
         assert_eq!(snap.peak_resident_bytes(), 1_500);
-        assert_eq!(snap.evicted_bytes(), 300);
         let text = snap.to_string();
         assert!(
             text.contains("build: 160µs substrate, bdd 150µs, embed 10µs"),

@@ -65,40 +65,35 @@ pub use ledger::{TelemetryEvent, TenantLedger, TenantStats};
 pub use ring::RingSink;
 pub use snapshot::{TelemetryError, TelemetrySnapshot, TenantTelemetry, TELEMETRY_SCHEMA_VERSION};
 
-use duality_core::pool::InstanceKey;
+use duality_core::pool::{InstanceKey, PoolBytes};
 use duality_core::PlanarInstance;
 use duality_service::span::SpanSink;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The telemetry handle: a shareable ring sink (give [`Telemetry::sink`]
 /// to the engine builder) plus the ledger it drains into. All methods
 /// take `&self`; the ledger sits behind a mutex touched only by
 /// telemetry consumers — never by the engine's workers, whose sole
-/// telemetry surface is the ring's `try_lock`.
+/// telemetry surface is the ring's O(1) record under its buffer lock.
 pub struct Telemetry {
     ring: Arc<RingSink>,
     ledger: Mutex<TenantLedger>,
     /// Pool byte gauges, stamped by whoever polls the engine's metrics
     /// ([`Telemetry::set_pool_bytes`]) — the engine pushes spans but the
     /// pool gauges are pulled, so the spine carries them alongside.
-    resident_bytes: AtomicU64,
-    peak_resident_bytes: AtomicU64,
-    evicted_bytes: AtomicU64,
+    pool_bytes: Mutex<PoolBytes>,
 }
 
 impl Telemetry {
     /// A telemetry spine whose ring buffers at most `ring_capacity`
     /// spans between polls. Size it to the burst you expect between
-    /// control-loop rounds; overflow is dropped-and-counted, never
-    /// blocking.
+    /// control-loop rounds: a full ring overwrites its oldest span and
+    /// counts the drop.
     pub fn new(ring_capacity: usize) -> Telemetry {
         Telemetry {
             ring: Arc::new(RingSink::new(ring_capacity)),
             ledger: Mutex::new(TenantLedger::new()),
-            resident_bytes: AtomicU64::new(0),
-            peak_resident_bytes: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
+            pool_bytes: Mutex::default(),
         }
     }
 
@@ -128,14 +123,16 @@ impl Telemetry {
         spans.len() + phases.len()
     }
 
-    /// Stamps the fleet-wide pool byte gauges (typically from
-    /// [`duality_service::MetricsSnapshot`]'s merged pool stats) so the
+    /// Stamps the fleet-wide pool byte gauges (typically
+    /// [`duality_service::MetricsSnapshot::pool_total`]'s `bytes`) so the
     /// next snapshot exports them. Gauges, not counters: each call
     /// overwrites; the peak is kept monotone across stamps.
-    pub fn set_pool_bytes(&self, resident: u64, peak: u64, evicted: u64) {
-        self.resident_bytes.store(resident, Ordering::Relaxed);
-        self.peak_resident_bytes.fetch_max(peak, Ordering::Relaxed);
-        self.evicted_bytes.store(evicted, Ordering::Relaxed);
+    pub fn set_pool_bytes(&self, bytes: PoolBytes) {
+        let mut gauges = self.pool_bytes.lock().expect("telemetry gauge lock");
+        *gauges = PoolBytes {
+            peak: gauges.peak.max(bytes.peak),
+            ..bytes
+        };
     }
 
     /// Registers a display name for the tenant owning `instance`'s
@@ -170,9 +167,7 @@ impl Telemetry {
             dropped: self.ring.dropped(),
             shard_jobs: ledger.shard_jobs().to_vec(),
             phase_us: ledger.phases().map(|(p, us)| (p.to_string(), us)).collect(),
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-            peak_resident_bytes: self.peak_resident_bytes.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
+            pool_bytes: *self.pool_bytes.lock().expect("telemetry gauge lock"),
             tenants: ledger
                 .tenants()
                 .map(|(tenant, name, stats)| TenantTelemetry {
@@ -271,11 +266,19 @@ mod tests {
     #[test]
     fn pool_byte_gauges_stamp_into_snapshots() {
         let telemetry = Telemetry::new(8);
-        telemetry.set_pool_bytes(1_000, 1_500, 0);
-        telemetry.set_pool_bytes(800, 1_200, 300);
+        telemetry.set_pool_bytes(PoolBytes {
+            resident: 1_000,
+            peak: 1_500,
+            evicted: 0,
+        });
+        telemetry.set_pool_bytes(PoolBytes {
+            resident: 800,
+            peak: 1_200,
+            evicted: 300,
+        });
         let snap = telemetry.snapshot();
-        assert_eq!(snap.resident_bytes, 800, "gauge overwrites");
-        assert_eq!(snap.peak_resident_bytes, 1_500, "peak stays monotone");
-        assert_eq!(snap.evicted_bytes, 300);
+        assert_eq!(snap.pool_bytes.resident, 800, "gauge overwrites");
+        assert_eq!(snap.pool_bytes.peak, 1_500, "peak stays monotone");
+        assert_eq!(snap.pool_bytes.evicted, 300);
     }
 }

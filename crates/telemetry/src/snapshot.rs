@@ -4,6 +4,7 @@
 //! analysis.
 
 use crate::ledger::{merge, TelemetryEvent, TenantStats};
+use duality_core::pool::PoolBytes;
 use duality_service::metrics::LATENCY_BUCKETS;
 use duality_service::LatencySnapshot;
 use duality_workload::jsonl::{line, Obj, Val};
@@ -57,7 +58,7 @@ impl TenantTelemetry {
 pub struct TelemetrySnapshot {
     /// Spans folded into the ledger.
     pub spans: u64,
-    /// Spans the ring sink lost (contention + overwrite, job and
+    /// Spans the ring sink lost to overwrite when full (job and
     /// build-phase spans alike) — honesty metadata: attribution below is
     /// exact over `spans`, not over every job the engine ever ran.
     pub dropped: u64,
@@ -67,14 +68,10 @@ pub struct TelemetrySnapshot {
     /// weight-tier / labeling), in phase-name order — aggregated from
     /// build-phase spans, each build billed exactly once.
     pub phase_us: Vec<(String, u64)>,
-    /// Fleet-wide solver-pool resident bytes, as last stamped via
+    /// Fleet-wide solver-pool byte gauges, as last stamped via
     /// [`Telemetry::set_pool_bytes`](crate::Telemetry::set_pool_bytes)
-    /// (a gauge: 0 until someone stamps it).
-    pub resident_bytes: u64,
-    /// High-water resident bytes across the fleet's pools.
-    pub peak_resident_bytes: u64,
-    /// Cumulative bytes freed by pool evictions.
-    pub evicted_bytes: u64,
+    /// (all 0 until someone stamps them).
+    pub pool_bytes: PoolBytes,
     /// Per-tenant rows, in fingerprint order.
     pub tenants: Vec<TenantTelemetry>,
     /// Recorded control events, in sequence order.
@@ -144,9 +141,9 @@ impl TelemetrySnapshot {
             &mut out,
             &[
                 ("kind", Val::s("memory")),
-                ("resident_bytes", Val::n(self.resident_bytes)),
-                ("peak_bytes", Val::n(self.peak_resident_bytes)),
-                ("evicted_bytes", Val::n(self.evicted_bytes)),
+                ("resident_bytes", Val::n(self.pool_bytes.resident)),
+                ("peak_bytes", Val::n(self.pool_bytes.peak)),
+                ("evicted_bytes", Val::n(self.pool_bytes.evicted)),
             ],
         );
         for (phase, us) in &self.phase_us {
@@ -233,20 +230,25 @@ impl TelemetrySnapshot {
                     saw_header = true;
                 }
                 "memory" => {
-                    snap.resident_bytes = obj.u64("resident_bytes").map_err(fail)?;
-                    snap.peak_resident_bytes = obj.u64("peak_bytes").map_err(fail)?;
-                    snap.evicted_bytes = obj.u64("evicted_bytes").map_err(fail)?;
+                    snap.pool_bytes.resident = obj.u64("resident_bytes").map_err(fail)?;
+                    snap.pool_bytes.peak = obj.u64("peak_bytes").map_err(fail)?;
+                    snap.pool_bytes.evicted = obj.u64("evicted_bytes").map_err(fail)?;
                 }
                 "phase" => snap.phase_us.push((
                     obj.str("phase").map_err(fail)?.to_string(),
                     obj.u64("us").map_err(fail)?,
                 )),
                 "shard" => {
-                    let shard = obj.u64("shard").map_err(fail)? as usize;
-                    if snap.shard_jobs.len() <= shard {
-                        snap.shard_jobs.resize(shard + 1, 0);
+                    // The writer numbers shard lines 0, 1, … in order, so
+                    // any other index is a malformed (or hostile) file.
+                    let shard = obj.u64("shard").map_err(fail)?;
+                    let expected = snap.shard_jobs.len() as u64;
+                    if shard != expected {
+                        return Err(fail(format!(
+                            "shard {shard} out of order (expected {expected})"
+                        )));
                     }
-                    snap.shard_jobs[shard] = obj.u64("jobs").map_err(fail)?;
+                    snap.shard_jobs.push(obj.u64("jobs").map_err(fail)?);
                 }
                 "tenant" => {
                     let stats = TenantStats {
@@ -369,12 +371,8 @@ impl std::fmt::Display for TelemetrySnapshot {
                 .collect();
             writeln!(f, "substrate build: {}", phases.join(", "))?;
         }
-        if self.resident_bytes != 0 || self.peak_resident_bytes != 0 || self.evicted_bytes != 0 {
-            writeln!(
-                f,
-                "pool memory: {} B resident (peak {} B, evicted {} B)",
-                self.resident_bytes, self.peak_resident_bytes, self.evicted_bytes
-            )?;
+        if self.pool_bytes != PoolBytes::default() {
+            writeln!(f, "pool memory: {}", self.pool_bytes)?;
         }
         for t in &self.tenants {
             write!(
@@ -430,9 +428,11 @@ mod tests {
             dropped: 1,
             shard_jobs: vec![2, 0],
             phase_us: vec![("bdd".into(), 1_900), ("embed".into(), 120)],
-            resident_bytes: 48_000,
-            peak_resident_bytes: 64_000,
-            evicted_bytes: 16_000,
+            pool_bytes: PoolBytes {
+                resident: 48_000,
+                peak: 64_000,
+                evicted: 16_000,
+            },
             tenants: vec![
                 TenantTelemetry {
                     tenant: 0xabcd,
@@ -485,6 +485,18 @@ mod tests {
             .to_jsonl()
             .replace("\"wait_hist\": \"4:3\"", "\"wait_hist\": \"999:3\"");
         assert!(TelemetrySnapshot::parse_jsonl(&bad_bucket).is_err());
+        // Shard lines must count up from 0, as the writer numbers them: a
+        // lone index 3 would invent three shards, and u64::MAX overflowed
+        // the old `shard + 1` resize.
+        let header = "{\"kind\": \"telemetry\", \"version\": 1, \"spans\": 0, \"dropped\": 0}\n";
+        for shard in ["3", "18446744073709551615"] {
+            let text =
+                format!("{header}{{\"kind\": \"shard\", \"shard\": {shard}, \"jobs\": 1}}\n");
+            assert!(
+                TelemetrySnapshot::parse_jsonl(&text).is_err(),
+                "shard {shard}"
+            );
+        }
     }
 
     #[test]
@@ -527,14 +539,7 @@ mod tests {
         }
         let parsed = TelemetrySnapshot::parse_jsonl(&old).unwrap();
         assert_eq!(parsed.phase_us, Vec::new());
-        assert_eq!(
-            (
-                parsed.resident_bytes,
-                parsed.peak_resident_bytes,
-                parsed.evicted_bytes
-            ),
-            (0, 0, 0)
-        );
+        assert_eq!(parsed.pool_bytes, PoolBytes::default());
         assert_eq!(parsed.tenants, sample().tenants);
     }
 }

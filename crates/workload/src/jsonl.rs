@@ -1,33 +1,46 @@
-//! The flat JSON-line codec shared by every durable artifact format.
+//! The JSON codec shared by every durable artifact format: the only
+//! JSON reader and string escaper in the workspace.
 //!
-//! One object per line; values are strings, integers or finite floats —
-//! all the trace, control-plane and lab-spec formats need, and all the
-//! parser accepts (same no-serde discipline as the bench harness). The
-//! writer is canonical: fields serialize in the order given, with a
-//! fixed `", "` / `": "` layout, and floats in their shortest
-//! round-trip form with a forced `.0`/exponent marker — so
-//! re-serializing a parsed document is **byte-stable**, the property
-//! the tamper-detection idioms (content hashes over the serialized
-//! form) rely on.
+//! The line formats (traces, fleet specs, control and telemetry
+//! snapshots, lab specs) hold one flat object per line, whose values
+//! are strings, integers or finite floats. The writer ([`line()`]) is
+//! canonical: fields serialize in the order given, with a fixed
+//! `", "` / `": "` layout, and floats in their shortest round-trip form
+//! with a forced `.0`/exponent marker — so re-serializing a parsed
+//! document is **byte-stable**, the property the tamper-detection idioms
+//! (content hashes over the serialized form) rely on. [`Obj::parse`]
+//! reads such a line back and refuses any other value.
 //!
-//! Extracted from the trace module so `duality-control` can persist its
-//! [`FleetSpec`](https://docs.rs/duality-control) snapshots in the same
-//! format; the trace writer/parser is the original consumer. The tenant
-//! [`FamilySpec`] field encoding lives here too, since both formats
-//! embed tenant generator parameters.
+//! [`Val::parse`] reads any JSON document — nested objects and arrays,
+//! `true`, `false` and `null`, at most [`MAX_DEPTH`] levels deep — for
+//! the pretty-printed lab envelopes and chrome traces, whose writers
+//! format their own layouts through [`json_string`]. The tenant
+//! [`FamilySpec`] field encoding lives here too, since both the trace
+//! and the fleet-spec formats embed tenant generator parameters.
 
 use crate::scenario::FamilySpec;
 
-/// A field value: string, integer (stored wide enough for `u64`), or
-/// finite float.
+/// A JSON value. Flat lines hold only strings, integers and floats; the
+/// other variants come from [`Val::parse`] reading nested documents.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Val {
     /// A JSON string.
     S(String),
-    /// A JSON integer.
+    /// A JSON integer, kept exact (stored wide enough for `u64` seeds
+    /// and hashes).
     N(i128),
-    /// A JSON float. Non-finite values are unrepresentable in JSON; the
-    /// writer refuses them (see [`line()`]).
+    /// A JSON float. Non-finite values are unrepresentable in JSON: the
+    /// writer refuses them (see [`line()`]) and the reader refuses
+    /// literals that overflow `f64`.
     F(f64),
+    /// `true` or `false`.
+    B(bool),
+    /// `null`.
+    Null,
+    /// An array.
+    A(Vec<Val>),
+    /// An object.
+    O(Obj),
 }
 
 impl Val {
@@ -46,6 +59,36 @@ impl Val {
     /// A float value.
     pub fn f(v: f64) -> Val {
         Val::F(v)
+    }
+
+    /// The value as a float: floats as they are, integers widened
+    /// (correctly rounded, so a literal reads to the same `f64` whether
+    /// it was kept as an integer or not). `None` for non-numbers.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Val::F(f) => Some(*f),
+            Val::N(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// Parses one JSON document (surrounding whitespace allowed; trailing
+    /// content is an error). Integer literals stay exact unless they
+    /// overflow `i128`, in which case they read as floats; `-0` reads as
+    /// the float `-0.0`, so its sign survives.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason on malformed input, including nesting
+    /// deeper than [`MAX_DEPTH`] levels.
+    pub fn parse(text: &str) -> Result<Val, String> {
+        let mut chars = text.chars().peekable();
+        let value = parse_value(&mut chars, 0)?;
+        skip_ws(&mut chars);
+        if chars.next().is_some() {
+            return Err("trailing content after document".into());
+        }
+        Ok(value)
     }
 }
 
@@ -69,7 +112,8 @@ fn float_repr(v: f64) -> String {
 ///
 /// On a non-finite [`Val::F`]: JSON cannot represent it, and silently
 /// writing `null` would break the byte-stable round trip the durable
-/// formats rely on.
+/// formats rely on. Also on a value that is not a string or a number,
+/// which a flat line cannot hold.
 pub fn line(out: &mut String, fields: &[(&str, Val)]) {
     out.push('{');
     for (i, (k, v)) in fields.iter().enumerate() {
@@ -85,12 +129,14 @@ pub fn line(out: &mut String, fields: &[(&str, Val)]) {
                 assert!(f.is_finite(), "non-finite float for field `{k}`");
                 out.push_str(&float_repr(*f));
             }
+            _ => panic!("field `{k}`: a flat line holds only strings and numbers"),
         }
     }
     out.push_str("}\n");
 }
 
-fn json_string(s: &str) -> String {
+/// `s` as a quoted JSON string literal, escaped.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -107,60 +153,52 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// One parsed line: an ordered list of `(key, value)` fields.
+/// A parsed JSON object: its `(key, value)` fields in source order.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Obj(Vec<(String, Val)>);
 
 impl Obj {
-    /// Parses one JSON object line.
+    /// Parses one flat JSON object line.
     ///
     /// # Errors
     ///
-    /// A human-readable reason on malformed input (callers wrap it with
-    /// their own line number).
+    /// A human-readable reason on malformed input, or on a value that is
+    /// not a string or a number (callers wrap it with their own line
+    /// number).
     pub fn parse(line: &str) -> Result<Obj, String> {
-        let mut chars = line.trim().chars().peekable();
-        if chars.next() != Some('{') {
+        let Val::O(obj) = Val::parse(line)? else {
             return Err("expected `{`".into());
+        };
+        match obj
+            .0
+            .iter()
+            .find(|(_, v)| !matches!(v, Val::S(_) | Val::N(_) | Val::F(_)))
+        {
+            Some((key, _)) => Err(format!("unsupported value for key `{key}`")),
+            None => Ok(obj),
         }
-        let mut fields = Vec::new();
-        loop {
-            skip_ws(&mut chars);
-            match chars.peek() {
-                Some('}') => {
-                    chars.next();
-                    break;
-                }
-                Some('"') => {}
-                _ => return Err("expected `\"` or `}`".into()),
-            }
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next() != Some(':') {
-                return Err(format!("expected `:` after key `{key}`"));
-            }
-            skip_ws(&mut chars);
-            let val = match chars.peek() {
-                Some('"') => Val::S(parse_string(&mut chars)?),
-                Some(c) if c.is_ascii_digit() || *c == '-' => parse_number(&mut chars)?,
-                _ => return Err(format!("unsupported value for key `{key}`")),
-            };
-            fields.push((key, val));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => {}
-                Some('}') => break,
-                _ => return Err("expected `,` or `}`".into()),
-            }
-        }
-        skip_ws(&mut chars);
-        if chars.next().is_some() {
-            return Err("trailing content after object".into());
-        }
-        Ok(Obj(fields))
+    }
+
+    /// The fields, in source order.
+    pub fn fields(&self) -> &[(String, Val)] {
+        &self.0
     }
 
     fn field(&self, key: &str) -> Option<&Val> {
         self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The field `key` through `pick`, which names the expected kind.
+    fn get<'a, T>(
+        &'a self,
+        key: &str,
+        kind: &str,
+        pick: impl FnOnce(&'a Val) -> Option<T>,
+    ) -> Result<T, String> {
+        let val = self
+            .field(key)
+            .ok_or_else(|| format!("missing field `{key}`"))?;
+        pick(val).ok_or_else(|| format!("field `{key}` is not {kind}"))
     }
 
     /// The string field `key`.
@@ -169,11 +207,10 @@ impl Obj {
     ///
     /// When the field is missing or not a string.
     pub fn str(&self, key: &str) -> Result<&str, String> {
-        match self.field(key) {
-            Some(Val::S(s)) => Ok(s),
-            Some(_) => Err(format!("field `{key}` is not a string")),
-            None => Err(format!("missing field `{key}`")),
-        }
+        self.get(key, "a string", |v| match v {
+            Val::S(s) => Some(s.as_str()),
+            _ => None,
+        })
     }
 
     /// The string field `key`, `None` when absent.
@@ -189,44 +226,26 @@ impl Obj {
     }
 
     fn num(&self, key: &str) -> Result<i128, String> {
-        match self.field(key) {
-            Some(Val::N(n)) => Ok(*n),
-            Some(_) => Err(format!("field `{key}` is not an integer")),
-            None => Err(format!("missing field `{key}`")),
-        }
+        self.get(key, "an integer", |v| match v {
+            Val::N(n) => Some(*n),
+            _ => None,
+        })
     }
 
-    /// The float field `key` (integers widen losslessly where they fit).
+    /// The float field `key` (integers widen, see [`Val::as_f64`]).
     ///
     /// # Errors
     ///
-    /// When the field is missing or a string.
+    /// When the field is missing or not a number.
     pub fn f64(&self, key: &str) -> Result<f64, String> {
-        match self.field(key) {
-            Some(Val::F(f)) => Ok(*f),
-            Some(Val::N(n)) => Ok(*n as f64),
-            Some(Val::S(_)) => Err(format!("field `{key}` is not a number")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-
-    /// The float field `key`, `None` when absent.
-    ///
-    /// # Errors
-    ///
-    /// When the field is present but a string.
-    pub fn opt_f64(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.field(key) {
-            None => Ok(None),
-            Some(_) => self.f64(key).map(Some),
-        }
+        self.get(key, "a number", Val::as_f64)
     }
 
     /// The `u64` field `key`.
     ///
     /// # Errors
     ///
-    /// When the field is missing, not a number, or out of range.
+    /// When the field is missing, not an integer, or out of range.
     pub fn u64(&self, key: &str) -> Result<u64, String> {
         u64::try_from(self.num(key)?).map_err(|_| format!("field `{key}` out of u64 range"))
     }
@@ -235,7 +254,7 @@ impl Obj {
     ///
     /// # Errors
     ///
-    /// When the field is missing, not a number, or out of range.
+    /// When the field is missing, not an integer, or out of range.
     pub fn i64(&self, key: &str) -> Result<i64, String> {
         i64::try_from(self.num(key)?).map_err(|_| format!("field `{key}` out of i64 range"))
     }
@@ -244,22 +263,129 @@ impl Obj {
     ///
     /// # Errors
     ///
-    /// When the field is present but not a number in range.
+    /// When the field is present but not an integer in range.
     pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
         match self.field(key) {
             None => Ok(None),
             Some(_) => self.u64(key).map(Some),
         }
     }
+
+    /// The boolean field `key`.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing or not a boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.get(key, "a boolean", |v| match v {
+            Val::B(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// The array field `key`.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing or not an array.
+    pub fn arr(&self, key: &str) -> Result<&[Val], String> {
+        self.get(key, "an array", |v| match v {
+            Val::A(items) => Some(items.as_slice()),
+            _ => None,
+        })
+    }
+
+    /// The object field `key`.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing or not an object.
+    pub fn obj(&self, key: &str) -> Result<&Obj, String> {
+        self.get(key, "an object", |v| match v {
+            Val::O(obj) => Some(obj),
+            _ => None,
+        })
+    }
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
+/// Deepest nesting [`Val::parse`] accepts. An envelope and a chrome
+/// trace each need 4 levels; the cap keeps the recursive descent far
+/// from any thread's stack limit on hostile input.
+pub const MAX_DEPTH: usize = 32;
+
+type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+
+fn skip_ws(chars: &mut Chars<'_>) {
     while chars.peek().is_some_and(|c| c.is_whitespace()) {
         chars.next();
     }
 }
 
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
+/// Parses one value at nesting `depth` (the number of enclosing arrays
+/// and objects).
+fn parse_value(chars: &mut Chars<'_>, depth: usize) -> Result<Val, String> {
+    skip_ws(chars);
+    match chars.peek() {
+        Some('{' | '[') if depth == MAX_DEPTH => {
+            Err(format!("document nested deeper than {MAX_DEPTH} levels"))
+        }
+        Some('{') => parse_object(chars, depth + 1),
+        Some('[') => parse_array(chars, depth + 1),
+        Some('"') => parse_string(chars).map(Val::S),
+        Some(c) if c.is_ascii_digit() || *c == '-' => parse_number(chars),
+        Some(_) => parse_literal(chars),
+        None => Err("unexpected end of document".into()),
+    }
+}
+
+fn parse_object(chars: &mut Chars<'_>, depth: usize) -> Result<Val, String> {
+    chars.next();
+    let mut fields = Vec::new();
+    loop {
+        skip_ws(chars);
+        match chars.peek() {
+            Some('}') => {
+                chars.next();
+                return Ok(Val::O(Obj(fields)));
+            }
+            Some('"') => {}
+            _ => return Err("expected `\"` or `}`".into()),
+        }
+        let key = parse_string(chars)?;
+        skip_ws(chars);
+        if chars.next() != Some(':') {
+            return Err(format!("expected `:` after key `{key}`"));
+        }
+        fields.push((key, parse_value(chars, depth)?));
+        skip_ws(chars);
+        match chars.next() {
+            Some(',') => {}
+            Some('}') => return Ok(Val::O(Obj(fields))),
+            _ => return Err("expected `,` or `}`".into()),
+        }
+    }
+}
+
+fn parse_array(chars: &mut Chars<'_>, depth: usize) -> Result<Val, String> {
+    chars.next();
+    let mut items = Vec::new();
+    skip_ws(chars);
+    if chars.peek() == Some(&']') {
+        chars.next();
+        return Ok(Val::A(items));
+    }
+    loop {
+        items.push(parse_value(chars, depth)?);
+        skip_ws(chars);
+        match chars.next() {
+            Some(',') => {}
+            Some(']') => return Ok(Val::A(items)),
+            _ => return Err("expected `,` or `]`".into()),
+        }
+    }
+}
+
+fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
     if chars.next() != Some('"') {
         return Err("expected `\"`".into());
     }
@@ -270,8 +396,10 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
             Some('\\') => match chars.next() {
                 Some('"') => out.push('"'),
                 Some('\\') => out.push('\\'),
+                Some('/') => out.push('/'),
                 Some('n') => out.push('\n'),
                 Some('t') => out.push('\t'),
+                Some('r') => out.push('\r'),
                 Some('u') => {
                     let hex: String = (0..4).filter_map(|_| chars.next()).collect();
                     let code = u32::from_str_radix(&hex, 16)
@@ -286,7 +414,7 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
     }
 }
 
-fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<Val, String> {
+fn parse_number(chars: &mut Chars<'_>) -> Result<Val, String> {
     let mut text = String::new();
     let mut float = false;
     if chars.peek() == Some(&'-') {
@@ -305,18 +433,38 @@ fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
         text.push(c);
         chars.next();
     }
-    if float {
-        let v = text
-            .parse::<f64>()
-            .map_err(|_| format!("bad number `{text}`"))?;
-        if !v.is_finite() {
-            return Err(format!("number `{text}` overflows f64"));
+    if !float {
+        match text.parse::<i128>() {
+            Ok(0) if text.starts_with('-') => return Ok(Val::F(-0.0)),
+            Ok(n) => return Ok(Val::N(n)),
+            // Beyond i128 (or malformed): the float parse decides.
+            Err(_) => {}
         }
-        Ok(Val::F(v))
-    } else {
-        text.parse::<i128>()
-            .map(Val::N)
-            .map_err(|_| format!("bad number `{text}`"))
+    }
+    let v = text
+        .parse::<f64>()
+        .map_err(|_| format!("bad number `{text}`"))?;
+    if !v.is_finite() {
+        return Err(format!("number `{text}` overflows f64"));
+    }
+    Ok(Val::F(v))
+}
+
+fn parse_literal(chars: &mut Chars<'_>) -> Result<Val, String> {
+    let mut word = String::new();
+    while let Some(&c) = chars.peek() {
+        if c.is_ascii_alphabetic() {
+            word.push(c);
+            chars.next();
+        } else {
+            break;
+        }
+    }
+    match word.as_str() {
+        "true" => Ok(Val::B(true)),
+        "false" => Ok(Val::B(false)),
+        "null" => Ok(Val::Null),
+        other => Err(format!("unsupported literal `{other}`")),
     }
 }
 
@@ -437,11 +585,24 @@ mod tests {
         assert_eq!(obj.f64("i").unwrap(), 7.0);
         assert_eq!(obj.f64("e").unwrap(), 2000.0);
         assert!(obj.u64("f").is_err());
-        assert_eq!(obj.opt_f64("f").unwrap(), Some(2.5));
-        assert_eq!(obj.opt_f64("missing").unwrap(), None);
+        assert_eq!(obj.f64("f").unwrap(), 2.5);
         assert_eq!(obj.opt_str("missing").unwrap(), None);
         // Overflowing literals are refused, not folded to infinity.
         assert!(Obj::parse("{\"v\": 1e999}").is_err());
+        // Integers stay exact up to i128 and read as floats beyond it;
+        // `-0` keeps its sign. Either way a literal reads to the f64 its
+        // decimal text denotes.
+        let obj = Obj::parse(&format!("{{\"big\": 1{}, \"z\": -0}}", "0".repeat(42))).unwrap();
+        assert_eq!(obj.f64("big").unwrap(), 1e42);
+        assert!(obj.u64("big").is_err(), "a float is not an integer");
+        assert_eq!(obj.f64("z").unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            Obj::parse("{\"n\": 9007199254740993}")
+                .unwrap()
+                .f64("n")
+                .unwrap(),
+            9007199254740992.0
+        );
     }
 
     #[test]
@@ -463,5 +624,34 @@ mod tests {
         assert!(obj.u64("n").is_err(), "negative is out of u64 range");
         assert!(obj.str("n").is_err() && obj.u64("s").is_err());
         assert_eq!(obj.opt_u64("missing").unwrap(), None);
+        // A flat line holds only strings and numbers.
+        for v in ["true", "null", "[1]", "{}"] {
+            assert!(Obj::parse(&format!("{{\"k\": {v}}}")).is_err(), "{v}");
+        }
+    }
+
+    #[test]
+    fn the_reader_handles_general_json() {
+        let doc = Val::parse(
+            "{\"a\": [1, -2.5, 2e3], \"b\": {\"c\": \"x\\n\\u0041\"}, \"t\": true, \"z\": null}",
+        )
+        .unwrap();
+        let Val::O(doc) = doc else {
+            panic!("the document is an object")
+        };
+        assert_eq!(doc.arr("a").unwrap().len(), 3);
+        assert_eq!(doc.arr("a").unwrap()[2], Val::F(2000.0));
+        assert_eq!(doc.obj("b").unwrap().str("c").unwrap(), "x\nA");
+        assert!(doc.bool("t").unwrap());
+        assert_eq!(doc.field("z"), Some(&Val::Null));
+        assert!(Val::parse("{\"k\": nope}").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(Val::parse(&"[".repeat(10_000)).is_err());
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Val::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Val::parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 }

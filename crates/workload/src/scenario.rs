@@ -494,16 +494,10 @@ pub struct Scenario {
     pub tenant_skew: u32,
     /// Per-query deadline in ticks after release (`None`: no deadline).
     pub deadline_ticks: Option<u64>,
-    /// Stride between consecutive tenants' derived graph seeds
-    /// (default 3, the historical derivation). Stride 0 hands every
-    /// tenant the *same* derived seeds: content-identical instances in
-    /// distinct allocations, so the whole fleet collides on one
-    /// [`InstanceKey`] — the `key-collision` adversarial preset.
-    pub tenant_seed_stride: u64,
 }
 
-/// Names of the nine preset scenarios, in presentation order.
-pub const PRESET_NAMES: [&str; 9] = [
+/// Names of the seven preset scenarios, in presentation order.
+pub const PRESET_NAMES: [&str; 7] = [
     "steady-state",
     "rush-hour",
     "failover-storm",
@@ -511,8 +505,6 @@ pub const PRESET_NAMES: [&str; 9] = [
     "cold-start",
     "respec-heavy",
     "cancellation-storm",
-    "deadline-pressure",
-    "key-collision",
 ];
 
 impl Scenario {
@@ -540,16 +532,6 @@ impl Scenario {
     ///   drive it, then cancel a slice of the queued tickets mid-flight
     ///   to stress the cancelled terminal path (span emission, metrics
     ///   reconciliation, queue skip-and-drop).
-    /// * `deadline-pressure` — open-loop bursts under a one-tick
-    ///   deadline: most of each burst expires before a worker reaches
-    ///   it, stressing the expired terminal path (past-due refusal at
-    ///   dequeue, span emission, metrics reconciliation) rather than
-    ///   throughput.
-    /// * `key-collision` — four content-identical tenants (seed stride
-    ///   0) under a per-tenant weight-spike stream: every tenant
-    ///   fingerprints to the same topology, so pool lookups from the
-    ///   whole fleet collide on one key, and each spike forces the
-    ///   near-miss path — topology hit, weight-tier miss.
     pub fn preset(name: &str, seed: u64) -> Option<Scenario> {
         let diag = |w, h| TenantSpec::of(FamilySpec::DiagGrid { w, h });
         let s = match name {
@@ -565,7 +547,6 @@ impl Scenario {
                 mutations: vec![],
                 tenant_skew: 1,
                 deadline_ticks: None,
-                tenant_seed_stride: 3,
             },
             "rush-hour" => Scenario {
                 name: name.into(),
@@ -582,7 +563,6 @@ impl Scenario {
                 }],
                 tenant_skew: 1,
                 deadline_ticks: Some(8),
-                tenant_seed_stride: 3,
             },
             "failover-storm" => Scenario {
                 name: name.into(),
@@ -603,7 +583,6 @@ impl Scenario {
                 ],
                 tenant_skew: 1,
                 deadline_ticks: None,
-                tenant_seed_stride: 3,
             },
             "multi-tenant-skew" => Scenario {
                 name: name.into(),
@@ -626,7 +605,6 @@ impl Scenario {
                 mutations: vec![],
                 tenant_skew: 6,
                 deadline_ticks: None,
-                tenant_seed_stride: 3,
             },
             "cold-start" => Scenario {
                 name: name.into(),
@@ -640,7 +618,6 @@ impl Scenario {
                 mutations: vec![],
                 tenant_skew: 1,
                 deadline_ticks: None,
-                tenant_seed_stride: 3,
             },
             "respec-heavy" => Scenario {
                 name: name.into(),
@@ -665,7 +642,6 @@ impl Scenario {
                 ],
                 tenant_skew: 1,
                 deadline_ticks: None,
-                tenant_seed_stride: 3,
             },
             "cancellation-storm" => Scenario {
                 name: name.into(),
@@ -679,46 +655,13 @@ impl Scenario {
                 mutations: vec![],
                 tenant_skew: 1,
                 deadline_ticks: None,
-                tenant_seed_stride: 3,
-            },
-            "deadline-pressure" => Scenario {
-                name: name.into(),
-                seed,
-                tenants: vec![diag(6, 5), diag(5, 5), diag(5, 4)],
-                ticks: 6,
-                arrival: Arrival::OpenLoop {
-                    queries_per_tick: 6,
-                },
-                mix: QueryMix::flow_heavy(),
-                mutations: vec![],
-                tenant_skew: 2,
-                deadline_ticks: Some(1),
-                tenant_seed_stride: 3,
-            },
-            "key-collision" => Scenario {
-                name: name.into(),
-                seed,
-                tenants: vec![diag(6, 5); 4],
-                ticks: 8,
-                arrival: Arrival::OpenLoop {
-                    queries_per_tick: 4,
-                },
-                mix: QueryMix::weight_heavy(),
-                mutations: vec![MutationRule::RandomWeightSpikes {
-                    every: 2,
-                    count: 2,
-                    factor: 3,
-                }],
-                tenant_skew: 1,
-                deadline_ticks: None,
-                tenant_seed_stride: 0,
             },
             _ => return None,
         };
         Some(s)
     }
 
-    /// All nine presets, in [`PRESET_NAMES`] order.
+    /// All seven presets, in [`PRESET_NAMES`] order.
     pub fn presets(seed: u64) -> Vec<Scenario> {
         PRESET_NAMES
             .iter()
@@ -743,10 +686,7 @@ impl Scenario {
         for (i, spec) in self.tenants.iter().enumerate() {
             // Seeds are derived, not drawn, so adding rules or mixes to a
             // scenario never reshuffles which graphs its tenants run on.
-            let graph_seed = self
-                .seed
-                .wrapping_mul(31)
-                .wrapping_add(1u64.wrapping_add(self.tenant_seed_stride.wrapping_mul(i as u64)));
+            let graph_seed = self.seed.wrapping_mul(31).wrapping_add(1 + 3 * i as u64);
             let record = TenantRecord {
                 family: spec.family,
                 cap_range: spec.cap_range,
@@ -941,58 +881,18 @@ mod tests {
     }
 
     #[test]
-    fn deadline_pressure_stamps_every_query_one_tick_out() {
-        let scenario = Scenario::preset("deadline-pressure", 5).unwrap();
-        assert_eq!(scenario.deadline_ticks, Some(1));
+    fn rush_hour_stamps_every_query_eight_ticks_out() {
+        let scenario = Scenario::preset("rush-hour", 5).unwrap();
+        assert_eq!(scenario.deadline_ticks, Some(8));
         let trace = scenario.record().unwrap();
         let mut queries = 0;
         for e in &trace.events {
             if let TraceEvent::Query { vt, deadline, .. } = e {
-                assert_eq!(*deadline, Some(vt + 1), "every query is due next tick");
+                assert_eq!(*deadline, Some(vt + 8), "every query is due 8 ticks out");
                 queries += 1;
             }
         }
-        assert_eq!(queries, 6 * 6, "six bursts of six");
-    }
-
-    #[test]
-    fn key_collision_aliases_the_fleet_onto_one_key_until_spikes_diverge() {
-        let scenario = Scenario::preset("key-collision", 9).unwrap();
-        assert_eq!(scenario.tenant_seed_stride, 0);
-        let trace = scenario.record().unwrap();
-        // Stride 0 derives identical seeds for every tenant …
-        let seeds: Vec<u64> = trace.header.tenants.iter().map(|t| t.graph_seed).collect();
-        assert!(
-            seeds.windows(2).all(|w| w[0] == w[1]),
-            "stride 0 must alias every tenant's seeds: {seeds:?}"
-        );
-        // … so before the first spike fires (tick 2), every query from
-        // every tenant carries the same InstanceKey: a fleet-wide pool
-        // collision on one fingerprint.
-        let mut base_keys = std::collections::BTreeSet::new();
-        let mut all_keys = std::collections::BTreeSet::new();
-        for e in &trace.events {
-            if let TraceEvent::Query { vt, key, .. } = e {
-                if *vt < 2 {
-                    base_keys.insert(key.clone());
-                }
-                all_keys.insert(key.clone());
-            }
-        }
-        assert_eq!(base_keys.len(), 1, "one shared key pre-spike");
-        // The weight spikes then split keys on the weight tier only —
-        // near-misses that share the topology fingerprint.
-        assert!(
-            all_keys.len() > 1,
-            "spikes must produce diverged keys: {all_keys:?}"
-        );
-        let topo_of = |k: &String| k.split('/').next().unwrap().to_string();
-        let topos: std::collections::BTreeSet<String> = all_keys.iter().map(topo_of).collect();
-        assert_eq!(
-            topos.len(),
-            1,
-            "every diverged key still shares the topology half: {topos:?}"
-        );
+        assert_eq!(queries, 12 * 4, "twelve ticks of four");
     }
 
     #[test]

@@ -179,7 +179,8 @@ pub use duality_control::{
 };
 pub use duality_core::{
     BatchReport, DualityError, HeapSize, InstanceKey, Outcome, PlanarInstance, PlanarSolver,
-    PoolStats, Query, ResidentEntry, SolverBuilder, SolverPool, SolverStats, TopoSubstrate,
+    PoolBytes, PoolStats, Query, ResidentEntry, SolverBuilder, SolverPool, SolverStats,
+    TopoSubstrate,
 };
 pub use duality_lab::{EnvRow, Envelope, LabError, LabSpec, Tolerances};
 pub use duality_service::{

@@ -57,12 +57,12 @@ fn byte_budget_evicts_the_least_recently_used_entry() {
 
     let stats = pool.stats();
     assert_eq!(stats.evictions, 1);
-    assert!(stats.evicted_bytes > 0, "the eviction released real bytes");
+    assert!(stats.bytes.evicted > 0, "the eviction released real bytes");
     assert!(
-        stats.resident_bytes < bytes,
+        stats.bytes.resident < bytes,
         "the gauge sits back under the budget"
     );
-    assert!(stats.peak_resident_bytes > stats.resident_bytes);
+    assert!(stats.bytes.peak > stats.bytes.resident);
     assert_eq!(stats.byte_budget, bytes - 1);
 }
 
@@ -80,7 +80,7 @@ fn an_unmeetable_budget_still_serves_one_entry() {
     }
     let stats = pool.stats();
     assert_eq!(stats.evictions, 2, "each admission displaced the last");
-    assert!(stats.resident_bytes > 0, "the survivor is still billed");
+    assert!(stats.bytes.resident > 0, "the survivor is still billed");
 }
 
 proptest! {

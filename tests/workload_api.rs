@@ -112,6 +112,6 @@ fn facade_reexports_and_recording_determinism() {
     let b = scenario.record().unwrap();
     assert_eq!(a, b);
     let _config = duality::DriverConfig::default();
-    // All nine presets exist and mix families/mutations as documented.
-    assert_eq!(Scenario::presets(3).len(), 9);
+    // All seven presets exist and mix families/mutations as documented.
+    assert_eq!(Scenario::presets(3).len(), 7);
 }
