@@ -570,8 +570,8 @@ mod calibration_tests {
     }
 }
 
-/// The committed lab specs behind the serving-stack experiments S5 and
-/// S7–S10 (`experiments run experiments/<spec>.lab.jsonl`): their shape,
+/// The committed lab specs behind the serving-stack experiments S5, S7,
+/// S9 and S10 (`experiments run experiments/<spec>.lab.jsonl`): their shape,
 /// and the contracts of their smoke runs.
 #[cfg(test)]
 mod spec_tests {
@@ -579,7 +579,6 @@ mod spec_tests {
 
     const S5_SPEC: &str = include_str!("../../../experiments/s5-replay.lab.jsonl");
     const S7_SPEC: &str = include_str!("../../../experiments/s7-saturation.lab.jsonl");
-    const S8_SPEC: &str = include_str!("../../../experiments/s8-autopilot.lab.jsonl");
     const S9_SPEC: &str = include_str!("../../../experiments/s9-stealing.lab.jsonl");
     const S10_SPEC: &str = include_str!("../../../experiments/s10-memory.lab.jsonl");
 
@@ -610,40 +609,6 @@ mod spec_tests {
         }
         assert!(matches!(committed(S5_SPEC).mode, RunMode::Replay));
         assert!(matches!(committed(S7_SPEC).mode, RunMode::Ramp(_)));
-    }
-
-    #[test]
-    fn autopilot_spec_is_canonical_and_the_smoke_run_surges() {
-        let spec = committed(S8_SPEC);
-        assert!(matches!(spec.mode, RunMode::Autopilot(_)));
-        assert_eq!(spec.run_cells(true).len(), 1, "smoke keeps one cell");
-
-        let rows = smoke_rows(&spec);
-        for row in &rows {
-            assert_eq!(
-                row.value("completed"),
-                row.value("jobs"),
-                "{}: every phase completes its jobs",
-                row.instance
-            );
-        }
-        let by_phase = |p: &str| {
-            rows.iter()
-                .find(|r| r.instance.contains(p))
-                .unwrap_or_else(|| panic!("phase {p}"))
-        };
-        let storm = by_phase("[storm]");
-        assert!(storm.value("scale-ups").unwrap() >= 1.0, "storm surges");
-        assert!(storm.value("workers-peak").unwrap() > storm.value("workers-start").unwrap());
-        // Fast builds can drain the burst mid-storm, so the retire
-        // decisions may land in the storm row rather than calm-out; the
-        // elastic claim is that *somewhere* after the surge the fleet
-        // stepped back down and ended calm-out on the floor.
-        let downs: f64 = rows.iter().filter_map(|r| r.value("scale-downs")).sum();
-        assert!(downs >= 1.0, "the surge is retired");
-        let out = by_phase("[calm-out]");
-        assert_eq!(out.value("workers-end"), Some(2.0), "retired to the floor");
-        assert_eq!(by_phase("[static-peak]").value("workers-end"), Some(6.0));
     }
 
     #[test]

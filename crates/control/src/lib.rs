@@ -22,16 +22,6 @@
 //!   respec path, anchored to base specs the controller keeps alive, so
 //!   a derate shares its tenant's graph allocation and topology
 //!   substrate.
-//! * **[`Autopilot`]** ([`autopilot`]) — closed-loop scaling: when the
-//!   fleet is launched with a telemetry spine
-//!   ([`Reconciler::launch_with_telemetry`]) and an
-//!   [`AutopilotPolicy`] is enabled, each reconcile round reads queue
-//!   depth and the worst per-tenant windowed p99 from the
-//!   [`TelemetrySnapshot`](duality_telemetry::TelemetrySnapshot) and
-//!   *originates* `ScaleWorkers` actions — surging under pressure,
-//!   retiring back to the spec floor when it clears — with hysteresis
-//!   and cooldown so the fleet doesn't thrash. Every decision lands in
-//!   the telemetry event log.
 //! * **[`StateStore`]** ([`store`]) — crash recovery: converged passes
 //!   persist a versioned [`Snapshot`] (atomic write), and
 //!   [`Reconciler::resume`] rebuilds a controller from it — refusing
@@ -83,14 +73,12 @@
 //! fleet.shutdown();
 //! ```
 
-pub mod autopilot;
 pub mod error;
 pub mod plan;
 pub mod reconcile;
 pub mod spec;
 pub mod store;
 
-pub use autopilot::{Autopilot, AutopilotDecision, AutopilotPolicy, PressureReading};
 pub use error::ControlError;
 pub use plan::{Action, Plan};
 pub use reconcile::{

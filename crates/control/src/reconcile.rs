@@ -21,7 +21,6 @@
 //! derate lands on the shard that holds its respec-donor solver and
 //! reuses its topology substrate.
 
-use crate::autopilot::{Autopilot, AutopilotPolicy};
 use crate::error::ControlError;
 use crate::plan::{Action, Plan};
 use crate::spec::{FleetSpec, TenantDecl};
@@ -213,10 +212,6 @@ pub struct Reconciler {
     store: Option<StateStore>,
     seq: u64,
     telemetry: Option<Arc<Telemetry>>,
-    autopilot: Option<Autopilot>,
-    /// Worker target the autopilot currently steers toward; `None`
-    /// means the spec's own count is in force.
-    autopilot_target: Option<usize>,
 }
 
 impl Reconciler {
@@ -234,8 +229,7 @@ impl Reconciler {
 
     /// Like [`Reconciler::launch`], but wires the engine's span stream
     /// into `telemetry` and registers every tenant's name with its
-    /// ledger, so observations (and any enabled
-    /// [autopilot](crate::autopilot)) judge SLOs per tenant.
+    /// ledger, so observations judge SLOs per tenant.
     ///
     /// # Errors
     ///
@@ -275,8 +269,6 @@ impl Reconciler {
             store: None,
             seq: 0,
             telemetry,
-            autopilot: None,
-            autopilot_target: None,
         };
         r.name_tenants();
         Ok(r)
@@ -319,51 +311,10 @@ impl Reconciler {
         self
     }
 
-    /// Turns on closed-loop worker scaling: every reconcile round reads
-    /// the pressure signals (queue depth, worst per-tenant windowed p99
-    /// from the telemetry ledger) and may move the worker target between
-    /// the spec's count (the floor) and `policy.max_workers`. Each
-    /// decision is recorded as a telemetry event.
-    ///
-    /// # Errors
-    ///
-    /// [`ControlError::InvalidSpec`] when no telemetry spine is attached
-    /// (launch with [`Reconciler::launch_with_telemetry`]), when the
-    /// policy is incoherent, or when `policy.max_workers` sits below the
-    /// spec's worker floor.
-    pub fn enable_autopilot(&mut self, policy: AutopilotPolicy) -> Result<(), ControlError> {
-        if self.telemetry.is_none() {
-            return Err(ControlError::InvalidSpec {
-                reason: "autopilot requires a telemetry spine: launch with launch_with_telemetry"
-                    .into(),
-            });
-        }
-        policy
-            .validate()
-            .map_err(|reason| ControlError::InvalidSpec { reason })?;
-        if policy.max_workers < self.spec.workers {
-            return Err(ControlError::InvalidSpec {
-                reason: format!(
-                    "autopilot max_workers {} sits below the spec's worker floor {}",
-                    policy.max_workers, self.spec.workers
-                ),
-            });
-        }
-        self.autopilot = Some(Autopilot::new(policy));
-        self.autopilot_target = None;
-        Ok(())
-    }
-
     /// The telemetry spine this fleet reports into, when launched with
     /// one.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// The worker count the controller currently steers toward: the
-    /// autopilot's target when it has made a decision, else the spec's.
-    pub fn desired_workers(&self) -> usize {
-        self.autopilot_target.unwrap_or(self.spec.workers)
     }
 
     /// Attaches a [`StateStore`]; every converged reconcile pass
@@ -524,10 +475,10 @@ impl Reconciler {
                 policy: self.spec.admission,
             });
         }
-        if obs.workers_target != self.desired_workers() {
+        if obs.workers_target != self.spec.workers {
             actions.push(Action::ScaleWorkers {
                 from: obs.workers_live,
-                to: self.desired_workers(),
+                to: self.spec.workers,
             });
         }
         for (t, o) in self.tenants.iter().zip(&obs.tenants) {
@@ -596,35 +547,12 @@ impl Reconciler {
         let mut slo_violations = 0u64;
         let mut converged = false;
         let mut rounds = 0usize;
-        let mut autopilot_judged = false;
         while rounds < self.policy.max_rounds {
             rounds += 1;
             let obs = self.observe();
             slo_violations += obs.slo_violations;
-            // The autopilot judges pressure once per pass, on the first
-            // observation — later rounds of the same pass see the queue
-            // mid-drain, which would make decisions depend on worker
-            // scheduling. One pass, at most one decision; cooldown
-            // counts passes.
-            if !autopilot_judged {
-                autopilot_judged = true;
-                if let (Some(ap), Some(tel)) = (&mut self.autopilot, &self.telemetry) {
-                    let reading = ap.read_pressure(&tel.snapshot(), obs.queue_depth);
-                    let current = self.autopilot_target.unwrap_or(self.spec.workers);
-                    if let Some(decision) = ap.evaluate(&reading, current, self.spec.workers) {
-                        tel.record_event(
-                            decision.label(),
-                            format!(
-                                "{} -> {} workers: {}",
-                                decision.from, decision.to, decision.reason
-                            ),
-                        );
-                        self.autopilot_target = Some(decision.to);
-                    }
-                }
-            }
             let plan = self.diff(&obs);
-            if plan.is_empty() && obs.workers_live == self.desired_workers() {
+            if plan.is_empty() && obs.workers_live == self.spec.workers {
                 converged = true;
                 break;
             }
@@ -848,65 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn autopilot_scales_up_under_pressure_and_retires_when_it_clears() {
-        // No telemetry spine → autopilot is refused.
-        let mut bare = Reconciler::launch(spec()).unwrap();
-        let policy = AutopilotPolicy {
-            queue_high_water: 1000,
-            queue_low_water: 0,
-            p99_high_us: 0,
-            p99_low_us: 0,
-            scale_step: 2,
-            max_workers: 4,
-            cooldown_rounds: 0,
-        };
-        assert!(matches!(
-            bare.enable_autopilot(policy),
-            Err(ControlError::InvalidSpec { .. })
-        ));
-        bare.shutdown();
-
-        let telemetry = Arc::new(Telemetry::new(1024));
-        let mut r = Reconciler::launch_with_telemetry(spec(), Arc::clone(&telemetry)).unwrap();
-        r.reconcile().unwrap();
-        r.enable_autopilot(policy).unwrap();
-
-        // Any executed job trips the (deliberately unreachable-low) p99
-        // high water: the next pass must surge.
-        let instance = Arc::clone(r.instance("a").unwrap());
-        let query = duality_core::Query::MaxFlow { s: 0, t: 5 };
-        r.engine().run(&instance, query).unwrap();
-        let report = r.reconcile().unwrap();
-        assert!(report.converged, "{report:?}");
-        assert!(report
-            .actions
-            .iter()
-            .any(|a| matches!(a, Action::ScaleWorkers { to: 4, .. })));
-        assert_eq!(r.desired_workers(), 4);
-        assert_eq!(r.engine().metrics().workers, 4);
-
-        // No new work: the pressure window is empty, so the next pass
-        // retires back to the spec floor.
-        let report = r.reconcile().unwrap();
-        assert!(report.converged, "{report:?}");
-        assert!(report
-            .actions
-            .iter()
-            .any(|a| matches!(a, Action::ScaleWorkers { to: 2, .. })));
-        assert_eq!(r.engine().metrics().workers, 2);
-
-        // Both decisions landed in the telemetry event log, and the
-        // tenant that ran the job has an attributed p99.
-        let snap = telemetry.snapshot();
-        assert!(snap.events.iter().any(|e| e.label == "scale-up"));
-        assert!(snap.events.iter().any(|e| e.label == "scale-down"));
-        let obs = r.observe();
-        assert!(obs.tenants[0].p99_us.is_some(), "tenant a executed a job");
-        assert_eq!(obs.tenants[1].p99_us, None, "tenant b executed nothing");
-        r.shutdown();
-    }
-
-    #[test]
     fn observations_carry_fleet_byte_gauges() {
         let telemetry = Arc::new(Telemetry::new(64));
         let mut r = Reconciler::launch_with_telemetry(spec(), Arc::clone(&telemetry)).unwrap();
@@ -925,6 +794,9 @@ mod tests {
             .unwrap();
         let obs = r.observe();
         assert!(obs.substrate_build_us > 0 || !telemetry.snapshot().phase_us.is_empty());
+        // With telemetry attached, p99 is attributed per tenant.
+        assert!(obs.tenants[0].p99_us.is_some(), "tenant a executed a job");
+        assert_eq!(obs.tenants[1].p99_us, None, "tenant b executed nothing");
         // Observing stamped the gauges into the telemetry spine.
         let snap = telemetry.snapshot();
         assert_eq!(snap.pool_bytes.resident, obs.pool_bytes.resident);

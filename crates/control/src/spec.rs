@@ -272,7 +272,7 @@ impl FleetSpec {
                             weight_seed: obj.u64("weight_seed").map_err(fail)?,
                         },
                         prewarm: obj.u64("prewarm").map_err(fail)? != 0,
-                        derate_percent: obj.u64("derate_percent").map_err(fail)? as u32,
+                        derate_percent: obj.u32("derate_percent").map_err(fail)?,
                         slo: (slo_p99.is_some() || slo_depth.is_some()).then_some(Slo {
                             max_p99_us: slo_p99,
                             max_queue_depth: slo_depth.map(|d| d as usize),
@@ -439,6 +439,14 @@ mod tests {
                 .to_jsonl()
                 .replacen("\"admission\": \"block\"", "\"admission\": \"maybe\"", 1);
         assert!(FleetSpec::parse_jsonl(&weird).is_err());
+        // An out-of-range percent is refused, not wrapped: 2^32 + 80
+        // would otherwise read as a valid 80.
+        let wrapped = spec().to_jsonl().replacen(
+            "\"derate_percent\": 100",
+            "\"derate_percent\": 4294967376",
+            1,
+        );
+        assert!(FleetSpec::parse_jsonl(&wrapped).is_err());
     }
 
     #[test]

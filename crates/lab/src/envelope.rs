@@ -158,7 +158,7 @@ impl Envelope {
         let Val::O(doc) = Val::parse(text).map_err(fail)? else {
             return Err(fail("the envelope is not an object".into()));
         };
-        let version = doc.f64("schema_version").map_err(fail)?.round() as u64;
+        let version = doc.u64("schema_version").map_err(fail)?;
         if version != BENCH_SCHEMA_VERSION {
             return Err(LabError::Schema(format!(
                 "unsupported envelope schema_version {version} (want {BENCH_SCHEMA_VERSION})"
@@ -194,15 +194,15 @@ impl Envelope {
             rows.push(EnvRow {
                 experiment: row.str("experiment").map_err(fail)?.to_string(),
                 instance: row.str("instance").map_err(fail)?.to_string(),
-                n: row.f64("n").map_err(fail)?.round() as usize,
-                d: row.f64("d").map_err(fail)?.round() as usize,
+                n: row.u64("n").map_err(fail)? as usize,
+                d: row.u64("d").map_err(fail)? as usize,
                 values,
             });
         }
         Ok(Envelope {
             schema_version: version,
             experiment: doc.str("experiment").map_err(fail)?.to_string(),
-            seed: doc.f64("seed").map_err(fail)?.round() as u64,
+            seed: doc.u64("seed").map_err(fail)?,
             smoke: doc.bool("smoke").map_err(fail)?,
             scenarios,
             rows,
@@ -259,6 +259,12 @@ mod tests {
         let parsed = Envelope::parse(&text).unwrap();
         assert_eq!(parsed, env);
         assert_eq!(parsed.to_json(), text, "writer is canonical");
+        // Integers read exactly, past f64's 2^53 as well.
+        let big = Envelope {
+            seed: 9_007_199_254_740_993,
+            ..env
+        };
+        assert_eq!(Envelope::parse(&big.to_json()).unwrap(), big);
     }
 
     #[test]
@@ -296,6 +302,19 @@ mod tests {
         assert!(Envelope::parse("[1, 2").is_err());
         let text = sample().to_json();
         assert!(Envelope::parse(&format!("{text} trailing")).is_err());
+        // Integer fields are never rounded or clamped into range.
+        for (from, to) in [
+            ("\"seed\": 42", "\"seed\": -5"),
+            ("\"seed\": 42", "\"seed\": 1.5"),
+            ("\"schema_version\": 1", "\"schema_version\": 0.6"),
+            ("\"n\": 30", "\"n\": 30.4"),
+            ("\"d\": 9", "\"d\": -9"),
+        ] {
+            assert!(
+                Envelope::parse(&text.replacen(from, to, 1)).is_err(),
+                "{to}"
+            );
+        }
     }
 
     #[test]

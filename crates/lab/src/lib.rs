@@ -1,8 +1,7 @@
 //! The experiment subsystem: declarative specs in, gated evidence out.
 //!
 //! The layers below produce behavior — solve ([`duality_core`]), serve
-//! ([`duality_service`]), generate traffic ([`duality_workload`]),
-//! operate ([`duality-control`](https://docs.rs/duality-control)). This
+//! ([`duality_service`]), generate traffic ([`duality_workload`]). This
 //! crate turns that behavior into *evidence* with a closed loop:
 //!
 //! * **[`spec`]** — a [`LabSpec`] is a versioned, byte-stable JSONL
@@ -13,10 +12,9 @@
 //! * **[`runner`]** — [`runner::run_spec`] executes a spec: replay mode
 //!   reproduces the S5 bit-for-bit-vs-serial sweep; ramp mode runs the
 //!   saturation probe ([`duality_workload::ramp()`]) and reports
-//!   `max-sustainable-jps` plus knee-of-curve latency per cell;
-//!   autopilot mode serves the trace phase by phase through a
-//!   telemetry-wired reconciler with closed-loop worker scaling and
-//!   compares against a static fleet of the surge size. Replay and ramp
+//!   `max-sustainable-jps` plus knee-of-curve latency per cell; memory
+//!   mode drives the trace through a byte-budgeted engine and reports
+//!   per-phase substrate build time and pool bytes. Replay and ramp
 //!   derive `scaling-efficiency` so flat worker scaling shows up in
 //!   the artifact itself.
 //! * **[`envelope`]** — the versioned `BENCH_*.json` artifact, now
@@ -76,7 +74,6 @@ pub use error::LabError;
 pub use report::render_trajectory;
 pub use runner::{run_spec, SUBSTRATE_PHASES};
 pub use spec::{
-    AutopilotSettings, GridCell, LabSpec, MemorySettings, RampSettings, RunMode, ScenarioRef,
-    LAB_SCHEMA_VERSION,
+    GridCell, LabSpec, MemorySettings, RampSettings, RunMode, ScenarioRef, LAB_SCHEMA_VERSION,
 };
 pub use trace::{capture_trace, parse_chrome_json, to_chrome_json, TraceSlice};

@@ -6,25 +6,23 @@
 //! committed spec file regenerates the same sweep the hard-coded bench
 //! used to. Ramp mode runs the saturation probe
 //! ([`duality_workload::ramp()`]) per cell and reports the maximum
-//! sustainable rate and knee-of-curve latency.
+//! sustainable rate and knee-of-curve latency. Memory mode drives the
+//! trace through a byte-budgeted engine and reports per-phase substrate
+//! build time and pool bytes.
 //!
-//! Both modes finish by deriving `scaling-efficiency` — the row's
+//! Replay and ramp finish by deriving `scaling-efficiency` — the row's
 //! headline rate divided by the same scenario's rate at 1 worker with
 //! the same shard count — so flat worker scaling is visible *in the
 //! artifact*, not only by eyeballing columns.
 
 use crate::envelope::EnvRow;
 use crate::error::LabError;
-use crate::spec::{AutopilotSettings, GridCell, LabSpec, MemorySettings, RampSettings, RunMode};
-use duality_control::{AutopilotPolicy, ControlError, FleetSpec, Reconciler, TenantDecl};
+use crate::spec::{GridCell, LabSpec, MemorySettings, RampSettings, RunMode};
 use duality_service::{AdmissionPolicy, ServiceEngine, Ticket};
 use duality_telemetry::Telemetry;
 use duality_workload::driver::{self, DriverConfig};
-use duality_workload::trace::{Trace, TraceJob};
+use duality_workload::trace::TraceJob;
 use duality_workload::{ramp, RampConfig, WorkloadError};
-use std::ops::Range;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Runs every (scenario, cell) pair of `spec` and returns the rows, in
 /// scenario-major order. `smoke` keeps only the smoke-flagged scenarios
@@ -126,11 +124,6 @@ pub fn run_spec(spec: &LabSpec, smoke: bool, seed: Option<u64>) -> Result<Vec<En
                     });
                 }
             }
-            RunMode::Autopilot(settings) => {
-                for cell in &cells {
-                    run_autopilot_cell(spec, &trace, &jobs, *cell, settings, n, d, &mut rows)?;
-                }
-            }
             RunMode::Memory(settings) => {
                 for cell in &cells {
                     run_memory_cell(
@@ -149,197 +142,6 @@ pub fn run_spec(spec: &LabSpec, smoke: bool, seed: Option<u64>) -> Result<Vec<En
     }
     add_scaling_efficiency(&mut rows, headline_metric(&spec.mode));
     Ok(rows)
-}
-
-/// Runs the S8 discipline for one grid cell: the trace's tick span is
-/// split into thirds — `calm-in` (per-tick submit → harvest →
-/// reconcile), `storm` (the middle third submitted as one burst *before*
-/// reconciling, so the autopilot judges the full backlog), `calm-out`
-/// (per-tick again, letting hysteresis retire the surge) — each phase
-/// landing as its own row with windowed latency splits from the
-/// telemetry spine. A final `static-peak` row drives the whole trace
-/// through a fixed fleet of `surge_workers`, the capacity the autopilot
-/// only rents during the storm.
-#[allow(clippy::too_many_arguments)]
-fn run_autopilot_cell(
-    spec: &LabSpec,
-    trace: &Trace,
-    jobs: &[TraceJob],
-    cell: GridCell,
-    a: &AutopilotSettings,
-    n: usize,
-    d: usize,
-    rows: &mut Vec<EnvRow>,
-) -> Result<(), LabError> {
-    let scenario = &trace.header.scenario;
-    let fleet_spec = FleetSpec {
-        name: format!("{}-autopilot", spec.name),
-        revision: 1,
-        workers: cell.workers,
-        shards: cell.shards,
-        // The storm phase holds a full burst in the queue while the
-        // autopilot judges it; size admission so the burst never blocks.
-        queue_capacity: jobs.len().max(16),
-        pool_capacity: DriverConfig::default().pool_capacity,
-        admission: AdmissionPolicy::Block,
-        tenants: trace
-            .header
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, record)| TenantDecl {
-                name: format!("tenant-{i}"),
-                record: *record,
-                prewarm: true,
-                derate_percent: 100,
-                slo: None,
-            })
-            .collect(),
-    };
-    let telemetry = Arc::new(Telemetry::new((jobs.len() * 2 + 64).max(256)));
-    let mut fleet = Reconciler::launch_with_telemetry(fleet_spec, Arc::clone(&telemetry))
-        .map_err(control_err)?;
-    fleet.reconcile().map_err(control_err)?;
-    fleet
-        .enable_autopilot(AutopilotPolicy {
-            queue_high_water: a.queue_high_water,
-            queue_low_water: a.queue_low_water,
-            p99_high_us: a.p99_high_us,
-            p99_low_us: a.p99_low_us,
-            scale_step: a.scale_step,
-            max_workers: a.surge_workers,
-            cooldown_rounds: a.cooldown_rounds,
-        })
-        .map_err(control_err)?;
-
-    let ticks = trace.header.ticks;
-    let phases: [(&str, Range<u64>); 3] = [
-        ("calm-in", 0..ticks / 3),
-        ("storm", ticks / 3..ticks - ticks / 3),
-        ("calm-out", ticks - ticks / 3..ticks),
-    ];
-    for (phase, range) in phases {
-        let phase_jobs: Vec<&TraceJob> = jobs.iter().filter(|j| range.contains(&j.vt)).collect();
-        let start_snap = telemetry.snapshot();
-        let start_metrics = fleet.engine().metrics();
-        let started = Instant::now();
-        let mut peak = start_metrics.workers;
-        if phase == "storm" {
-            // The whole storm backlog lands before the controller looks:
-            // one reconcile pass per storm tick against the held burst,
-            // so the autopilot can step to its ceiling while the queue
-            // is deep. Retirement is calm-out's story.
-            let tickets = submit_all(fleet.engine(), phase_jobs.iter().copied())?;
-            for _ in range {
-                fleet.reconcile().map_err(control_err)?;
-                peak = peak.max(fleet.engine().metrics().workers);
-            }
-            harvest(tickets);
-        } else {
-            for vt in range {
-                let tick_jobs = phase_jobs.iter().copied().filter(|j| j.vt == vt);
-                harvest(submit_all(fleet.engine(), tick_jobs)?);
-                fleet.reconcile().map_err(control_err)?;
-                peak = peak.max(fleet.engine().metrics().workers);
-            }
-        }
-        let wall = started.elapsed();
-        let end_snap = telemetry.snapshot();
-        let end_metrics = fleet.engine().metrics();
-        let wait = end_snap.fleet_wait().delta(&start_snap.fleet_wait());
-        let service = end_snap.fleet_service().delta(&start_snap.fleet_service());
-        let total = end_snap.fleet_total().delta(&start_snap.fleet_total());
-        let worst_tenant = end_snap
-            .tenants
-            .iter()
-            .filter_map(|t| {
-                let base = start_snap
-                    .tenant(t.tenant)
-                    .map(|b| b.stats.total)
-                    .unwrap_or_default();
-                t.stats.total.delta(&base).quantile_us(0.99)
-            })
-            .max();
-        let decisions = &end_snap.events[start_snap.events.len()..];
-        let count_label = |label: &str| decisions.iter().filter(|e| e.label == label).count();
-        let completed = end_metrics.completed - start_metrics.completed;
-        let secs = wall.as_secs_f64();
-        rows.push(EnvRow {
-            experiment: spec.name.clone(),
-            instance: instance_label(&format!("{scenario} [{phase}]"), cell.workers, cell.shards),
-            n,
-            d,
-            values: vec![
-                ("jobs".into(), phase_jobs.len() as f64),
-                ("completed".into(), completed as f64),
-                (
-                    "throughput-jps".into(),
-                    if secs > 0.0 {
-                        completed as f64 / secs
-                    } else {
-                        0.0
-                    },
-                ),
-                ("p99-us".into(), total.quantile_us(0.99).unwrap_or(0) as f64),
-                (
-                    "wait-p99-us".into(),
-                    wait.quantile_us(0.99).unwrap_or(0) as f64,
-                ),
-                (
-                    "service-p99-us".into(),
-                    service.quantile_us(0.99).unwrap_or(0) as f64,
-                ),
-                (
-                    "worst-tenant-p99-us".into(),
-                    worst_tenant.unwrap_or(0) as f64,
-                ),
-                ("workers-start".into(), start_metrics.workers as f64),
-                ("workers-peak".into(), peak as f64),
-                ("workers-end".into(), end_metrics.workers as f64),
-                ("scale-ups".into(), count_label("scale-up") as f64),
-                ("scale-downs".into(), count_label("scale-down") as f64),
-                ("spans".into(), (end_snap.spans - start_snap.spans) as f64),
-                ("spans-dropped".into(), end_snap.dropped as f64),
-            ],
-        });
-    }
-    fleet.shutdown();
-
-    // The comparison fleet: a static roster of the surge size serving
-    // the same trace — the peak capacity the autopilot only rents.
-    let report = driver::drive_jobs(
-        jobs,
-        trace.header.arrival,
-        &DriverConfig {
-            workers: a.surge_workers,
-            shards: cell.shards,
-            ..DriverConfig::default()
-        },
-    )?;
-    let m = &report.metrics;
-    rows.push(EnvRow {
-        experiment: spec.name.clone(),
-        instance: instance_label(
-            &format!("{scenario} [static-peak]"),
-            a.surge_workers,
-            cell.shards,
-        ),
-        n,
-        d,
-        values: vec![
-            ("jobs".into(), jobs.len() as f64),
-            ("completed".into(), m.completed as f64),
-            ("throughput-jps".into(), report.throughput_jps()),
-            (
-                "p99-us".into(),
-                m.latency.quantile_us(0.99).unwrap_or(0) as f64,
-            ),
-            ("workers-start".into(), a.surge_workers as f64),
-            ("workers-peak".into(), a.surge_workers as f64),
-            ("workers-end".into(), a.surge_workers as f64),
-        ],
-    });
-    Ok(())
 }
 
 /// The five substrate build phases, in first-charge order. Memory rows
@@ -376,7 +178,7 @@ fn run_memory_cell(
         .span_sink(telemetry.sink())
         .build()
         .map_err(|e| LabError::Workload(WorkloadError::from(e)))?;
-    harvest(submit_all(&engine, jobs.iter())?);
+    harvest(submit_all(&engine, jobs)?);
     let m = engine.shutdown();
     let pool = m.pool_total();
     telemetry.set_pool_bytes(pool.bytes);
@@ -416,17 +218,10 @@ fn run_memory_cell(
     Ok(())
 }
 
-fn control_err(e: ControlError) -> LabError {
-    LabError::Schema(format!("autopilot fleet: {e}"))
-}
-
-/// Submits every job, returning the tickets in submission order. The
-/// autopilot fleet admits with `Block` and a queue sized for the full
-/// burst, so a refusal here is a driver bug, not load data.
-fn submit_all<'a>(
-    engine: &ServiceEngine,
-    jobs: impl Iterator<Item = &'a TraceJob>,
-) -> Result<Vec<Ticket>, LabError> {
+/// Submits every job, returning the tickets in submission order. Memory
+/// mode admits with `Block` and a queue sized for the whole trace, so a
+/// refusal here is a driver bug, not load data.
+fn submit_all(engine: &ServiceEngine, jobs: &[TraceJob]) -> Result<Vec<Ticket>, LabError> {
     let mut tickets = Vec::new();
     for job in jobs {
         match engine.submit(&job.instance, job.query) {
@@ -456,7 +251,7 @@ pub fn instance_label(scenario: &str, workers: usize, shards: usize) -> String {
 /// finds no baseline and leaves them untouched.
 pub fn headline_metric(mode: &RunMode) -> &'static str {
     match mode {
-        RunMode::Replay | RunMode::Autopilot(_) | RunMode::Memory(_) => "throughput-jps",
+        RunMode::Replay | RunMode::Memory(_) => "throughput-jps",
         RunMode::Ramp(_) => "max-sustainable-jps",
     }
 }
@@ -605,64 +400,6 @@ mod tests {
         assert!(row.value("max-sustainable-jps").is_some());
         assert!(row.value("knee-p99-us").is_some());
         assert!(row.value("saturated").is_some());
-    }
-
-    #[test]
-    fn autopilot_mode_surges_in_the_storm_and_retires_after() {
-        let mut spec = replay_spec();
-        spec.mode = RunMode::Autopilot(AutopilotSettings {
-            queue_high_water: 4,
-            queue_low_water: 1,
-            // Latency bands parked far above anything the test machine
-            // produces: scale-up is queue-driven, retire is never vetoed.
-            p99_high_us: 60_000_000,
-            p99_low_us: 30_000_000,
-            scale_step: 2,
-            surge_workers: 6,
-            cooldown_rounds: 0,
-        });
-        spec.cells = vec![GridCell {
-            workers: 2,
-            shards: 2,
-            smoke: true,
-        }];
-        spec.scenarios = vec![ScenarioRef::Preset {
-            name: "failover-storm".into(),
-            smoke: true,
-        }];
-        let rows = run_spec(&spec, false, None).unwrap();
-        assert_eq!(rows.len(), 4, "three phases plus the static-peak row");
-        let by = |tag: &str| {
-            rows.iter()
-                .find(|r| r.instance.contains(&format!("[{tag}]")))
-                .unwrap()
-        };
-        for tag in ["calm-in", "storm", "calm-out"] {
-            let row = by(tag);
-            assert_eq!(
-                row.value("completed"),
-                row.value("jobs"),
-                "{}",
-                row.instance
-            );
-            // Spans can trail jobs by the drop-counted few that raced a
-            // ring drain; they never exceed them.
-            assert!(row.value("spans") <= row.value("jobs"), "{}", row.instance);
-        }
-        assert_eq!(by("calm-in").value("workers-start"), Some(2.0));
-        let storm = by("storm");
-        assert!(storm.value("scale-ups").unwrap() >= 1.0, "burst must surge");
-        assert!(storm.value("workers-peak").unwrap() > 2.0);
-        // A fast machine can drain the burst mid-storm and retire within
-        // the storm row itself, so the retire decisions are asserted
-        // across phases rather than pinned to calm-out.
-        let downs: f64 = rows.iter().filter_map(|r| r.value("scale-downs")).sum();
-        assert!(downs >= 1.0, "the surge is retired");
-        let out = by("calm-out");
-        assert_eq!(out.value("workers-end"), Some(2.0), "retire to the floor");
-        let peak = by("static-peak");
-        assert_eq!(peak.value("workers-end"), Some(6.0));
-        assert_eq!(peak.value("completed"), peak.value("jobs"));
     }
 
     #[test]

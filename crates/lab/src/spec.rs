@@ -67,30 +67,6 @@ pub struct RampSettings {
     pub smoke_max_rounds: Option<usize>,
 }
 
-/// Autopilot-mode settings: the
-/// [`AutopilotPolicy`](duality_control::AutopilotPolicy) thresholds the
-/// runner hands the reconciler, plus the surge ceiling that doubles as
-/// the static-peak comparison fleet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AutopilotSettings {
-    /// Scale up when queue depth exceeds this.
-    pub queue_high_water: usize,
-    /// Scale down only at or below this queue depth.
-    pub queue_low_water: usize,
-    /// Scale up when any tenant's windowed p99 exceeds this (µs).
-    pub p99_high_us: u64,
-    /// Scale down only when every tenant's windowed p99 is at or below
-    /// this (µs).
-    pub p99_low_us: u64,
-    /// Workers added or retired per decision.
-    pub scale_step: usize,
-    /// Ceiling on the autopilot's worker target — and the size of the
-    /// static fleet the run measures against for comparison.
-    pub surge_workers: usize,
-    /// Reconcile passes to hold after each decision.
-    pub cooldown_rounds: u64,
-}
-
 /// Memory-mode settings: the byte budget handed to the engine's
 /// solver pool, so the run exercises size-aware eviction while the
 /// telemetry spine reports phase timings and byte gauges.
@@ -110,10 +86,6 @@ pub enum RunMode {
     /// Step the open-loop arrival rate until overload and report the
     /// maximum sustainable rate and knee latency (the S7 discipline).
     Ramp(RampSettings),
-    /// Serve the scenario through a telemetry-wired reconciler with the
-    /// autopilot enabled, phase by phase, and compare against a static
-    /// fleet of the surge size (the S8 discipline).
-    Autopilot(AutopilotSettings),
     /// Drive the scenario through a byte-budgeted, telemetry-wired
     /// engine and report per-phase substrate build time plus resident
     /// / peak / evicted pool bytes (the S10 discipline).
@@ -280,29 +252,6 @@ impl LabSpec {
                 return fail("ramp smoke rounds are empty".into());
             }
         }
-        if let RunMode::Autopilot(a) = &self.mode {
-            if a.scale_step == 0 {
-                return fail("autopilot scale_step is zero".into());
-            }
-            if a.queue_low_water >= a.queue_high_water {
-                return fail(format!(
-                    "autopilot queue_low_water {} must sit below queue_high_water {}",
-                    a.queue_low_water, a.queue_high_water
-                ));
-            }
-            if a.p99_low_us > a.p99_high_us {
-                return fail(format!(
-                    "autopilot p99_low_us {} exceeds p99_high_us {}",
-                    a.p99_low_us, a.p99_high_us
-                ));
-            }
-            if let Some(c) = self.cells.iter().find(|c| c.workers > a.surge_workers) {
-                return fail(format!(
-                    "autopilot surge_workers {} sits below the {}-worker grid cell",
-                    a.surge_workers, c.workers
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -335,16 +284,6 @@ impl LabSpec {
                     if let Some(m) = r.smoke_max_rounds {
                         f.push(("smoke_max_rounds", Val::n(m as u64)));
                     }
-                }
-                RunMode::Autopilot(a) => {
-                    f.push(("mode", Val::s("autopilot")));
-                    f.push(("queue_high_water", Val::n(a.queue_high_water as u64)));
-                    f.push(("queue_low_water", Val::n(a.queue_low_water as u64)));
-                    f.push(("p99_high_us", Val::n(a.p99_high_us)));
-                    f.push(("p99_low_us", Val::n(a.p99_low_us)));
-                    f.push(("scale_step", Val::n(a.scale_step as u64)));
-                    f.push(("surge_workers", Val::n(a.surge_workers as u64)));
-                    f.push(("cooldown_rounds", Val::n(a.cooldown_rounds)));
                 }
                 RunMode::Memory(m) => {
                     f.push(("mode", Val::s("memory")));
@@ -423,7 +362,7 @@ impl LabSpec {
                             increment_jps: obj.u64("increment_jps").map_err(&fail)?,
                             round_jobs: obj.u64("round_jobs").map_err(&fail)? as usize,
                             max_rounds: obj.u64("max_rounds").map_err(&fail)? as usize,
-                            margin_percent: obj.u64("margin_percent").map_err(&fail)? as u32,
+                            margin_percent: obj.u32("margin_percent").map_err(&fail)?,
                             p99_ceiling_us: obj.opt_u64("p99_ceiling_us").map_err(&fail)?,
                             smoke_round_jobs: obj
                                 .opt_u64("smoke_round_jobs")
@@ -433,15 +372,6 @@ impl LabSpec {
                                 .opt_u64("smoke_max_rounds")
                                 .map_err(&fail)?
                                 .map(|v| v as usize),
-                        }),
-                        "autopilot" => RunMode::Autopilot(AutopilotSettings {
-                            queue_high_water: obj.u64("queue_high_water").map_err(&fail)? as usize,
-                            queue_low_water: obj.u64("queue_low_water").map_err(&fail)? as usize,
-                            p99_high_us: obj.u64("p99_high_us").map_err(&fail)?,
-                            p99_low_us: obj.u64("p99_low_us").map_err(&fail)?,
-                            scale_step: obj.u64("scale_step").map_err(&fail)? as usize,
-                            surge_workers: obj.u64("surge_workers").map_err(&fail)? as usize,
-                            cooldown_rounds: obj.u64("cooldown_rounds").map_err(&fail)?,
                         }),
                         "memory" => RunMode::Memory(MemorySettings {
                             pool_byte_budget: obj.u64("pool_byte_budget").map_err(&fail)?,
@@ -611,7 +541,7 @@ fn parse_rule(obj: &Obj) -> Result<MutationRule, String> {
     Ok(match obj.str("rule")? {
         "diurnal_wave" => MutationRule::DiurnalWave {
             period: obj.u64("period")?,
-            trough_percent: obj.u64("trough_percent")? as u32,
+            trough_percent: obj.u32("trough_percent")?,
         },
         "random_failures" => MutationRule::RandomFailures {
             every: obj.u64("every")?,
@@ -620,12 +550,12 @@ fn parse_rule(obj: &Obj) -> Result<MutationRule, String> {
         "random_weight_spikes" => MutationRule::RandomWeightSpikes {
             every: obj.u64("every")?,
             count: obj.u64("count")? as usize,
-            factor: obj.u64("factor")? as u32,
+            factor: obj.u32("factor")?,
         },
         "storm" => MutationRule::Storm {
             at: obj.u64("at")?,
             duration: obj.u64("duration")?,
-            percent: obj.u64("percent")? as u32,
+            percent: obj.u32("percent")?,
         },
         other => return Err(format!("unknown rule `{other}`")),
     })
@@ -651,15 +581,15 @@ fn parse_scenario_line(obj: &Obj) -> Result<Scenario, String> {
         ticks: obj.u64("ticks")?,
         arrival,
         mix: QueryMix {
-            max_flow: obj.u64("mix_max_flow")? as u32,
-            min_st_cut: obj.u64("mix_min_st_cut")? as u32,
-            approx_max_flow: obj.u64("mix_approx_max_flow")? as u32,
-            approx_min_st_cut: obj.u64("mix_approx_min_st_cut")? as u32,
-            global_min_cut: obj.u64("mix_global_min_cut")? as u32,
-            girth: obj.u64("mix_girth")? as u32,
+            max_flow: obj.u32("mix_max_flow")?,
+            min_st_cut: obj.u32("mix_min_st_cut")?,
+            approx_max_flow: obj.u32("mix_approx_max_flow")?,
+            approx_min_st_cut: obj.u32("mix_approx_min_st_cut")?,
+            global_min_cut: obj.u32("mix_global_min_cut")?,
+            girth: obj.u32("mix_girth")?,
         },
         mutations: Vec::new(),
-        tenant_skew: obj.u64("tenant_skew")? as u32,
+        tenant_skew: obj.u32("tenant_skew")?,
         deadline_ticks: obj.opt_u64("deadline_ticks")?,
     })
 }
@@ -750,6 +680,11 @@ mod tests {
         assert!(LabSpec::parse_jsonl(&bad_mode).is_err());
         let bad_rule = good.replace("\"rule\": \"diurnal_wave\"", "\"rule\": \"earthquake\"");
         assert!(LabSpec::parse_jsonl(&bad_rule).is_err());
+        // u32 fields out of range are refused, not wrapped: 2^32 + 90
+        // would otherwise read as a valid 90.
+        let wrapped = good.replace("\"margin_percent\": 90", "\"margin_percent\": 4294967386");
+        assert_ne!(wrapped, good);
+        assert!(LabSpec::parse_jsonl(&wrapped).is_err());
         assert!(LabSpec::parse_jsonl("").is_err(), "missing header");
     }
 
@@ -777,40 +712,6 @@ mod tests {
             r.margin_percent = 140;
         }
         assert!(spec.validate().is_err());
-    }
-
-    #[test]
-    fn autopilot_specs_round_trip_and_validate() {
-        let settings = AutopilotSettings {
-            queue_high_water: 12,
-            queue_low_water: 2,
-            p99_high_us: 200_000,
-            p99_low_us: 50_000,
-            scale_step: 2,
-            surge_workers: 6,
-            cooldown_rounds: 1,
-        };
-        let spec = LabSpec {
-            mode: RunMode::Autopilot(settings),
-            ..sample_spec()
-        };
-        let text = spec.to_jsonl();
-        let parsed = LabSpec::parse_jsonl(&text).unwrap();
-        assert_eq!(parsed, spec);
-        assert_eq!(parsed.to_jsonl(), text, "canonical form is byte-stable");
-
-        let mut bad = spec.clone();
-        bad.mode = RunMode::Autopilot(AutopilotSettings {
-            queue_low_water: 12,
-            ..settings
-        });
-        assert!(bad.validate().is_err(), "no dead band");
-        let mut bad = spec.clone();
-        bad.mode = RunMode::Autopilot(AutopilotSettings {
-            surge_workers: 2,
-            ..settings
-        });
-        assert!(bad.validate().is_err(), "surge below the 4-worker cell");
     }
 
     #[test]

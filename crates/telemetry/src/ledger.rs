@@ -66,35 +66,15 @@ impl TenantStats {
     }
 }
 
-/// One recorded control-plane event — autopilot decisions land here so
-/// a telemetry snapshot carries *why* the fleet changed shape alongside
-/// what the tenants experienced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TelemetryEvent {
-    /// Monotone sequence number (assignment order).
-    pub seq: u64,
-    /// Short machine-readable label (e.g. `scale-up`).
-    pub label: String,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-impl std::fmt::Display for TelemetryEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}: {}", self.seq, self.label, self.detail)
-    }
-}
-
 /// The fold target: per-tenant stats keyed by topology fingerprint
 /// (deterministic iteration order), per-shard executed-job occupancy,
-/// optional tenant display names, and the event log.
+/// and optional tenant display names.
 #[derive(Debug, Default)]
 pub struct TenantLedger {
     tenants: BTreeMap<u64, TenantStats>,
     names: BTreeMap<u64, String>,
     shard_jobs: Vec<u64>,
     spans: u64,
-    events: Vec<TelemetryEvent>,
     /// Fleet-wide substrate build µs per phase (embed / dual / bdd /
     /// weight-tier / labeling), accumulated from build-phase spans.
     phase_us: BTreeMap<String, u64>,
@@ -150,17 +130,6 @@ impl TenantLedger {
         self.names.insert(tenant, name.to_string());
     }
 
-    /// Appends one event and returns its sequence number.
-    pub fn record_event(&mut self, label: &str, detail: String) -> u64 {
-        let seq = self.events.len() as u64;
-        self.events.push(TelemetryEvent {
-            seq,
-            label: label.to_string(),
-            detail,
-        });
-        seq
-    }
-
     /// Spans folded so far.
     pub fn spans(&self) -> u64 {
         self.spans
@@ -182,11 +151,6 @@ impl TenantLedger {
     /// Executed jobs per shard (index = shard).
     pub fn shard_jobs(&self) -> &[u64] {
         &self.shard_jobs
-    }
-
-    /// The recorded events, in sequence order.
-    pub fn events(&self) -> &[TelemetryEvent] {
-        &self.events
     }
 }
 
@@ -247,17 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn names_and_events_are_kept_in_order() {
+    fn registered_names_label_their_tenant() {
         let mut ledger = TenantLedger::new();
         ledger.fold(&span(7, SpanState::Completed, 1, 1));
         ledger.name_tenant(7, "grid-a");
-        assert_eq!(ledger.record_event("scale-up", "2 -> 4".into()), 0);
-        assert_eq!(ledger.record_event("scale-down", "4 -> 2".into()), 1);
         let rows: Vec<_> = ledger.tenants().collect();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1, Some("grid-a"));
-        assert_eq!(ledger.events()[1].label, "scale-down");
-        assert!(ledger.events()[0].to_string().contains("scale-up"));
     }
 
     #[test]

@@ -18,14 +18,13 @@
 //! * **[`TenantLedger`]** ([`ledger`]) — attribution: folds spans into
 //!   per-tenant lifecycle counters and three log₂ histograms —
 //!   queue-wait, service-time, end-to-end — so p50/p99/max exist per
-//!   tenant and per phase of a job's life, plus per-shard occupancy and
-//!   a control-event log (autopilot decisions land here).
+//!   tenant and per phase of a job's life, plus per-shard occupancy.
 //! * **[`TelemetrySnapshot`]** ([`snapshot`]) — the export: displayable,
 //!   and serialized as versioned byte-stable JSONL through the shared
 //!   [`duality_workload::jsonl`] codec.
 //! * **[`Telemetry`]** — the handle tying them together: owns the ring
 //!   and the ledger, polls one into the other, and is what the control
-//!   plane attaches to judge per-tenant SLOs and drive the autopilot.
+//!   plane attaches to judge per-tenant SLOs.
 //!
 //! # Example
 //!
@@ -61,7 +60,7 @@ pub mod ledger;
 pub mod ring;
 pub mod snapshot;
 
-pub use ledger::{TelemetryEvent, TenantLedger, TenantStats};
+pub use ledger::{TenantLedger, TenantStats};
 pub use ring::RingSink;
 pub use snapshot::{TelemetryError, TelemetrySnapshot, TenantTelemetry, TELEMETRY_SCHEMA_VERSION};
 
@@ -149,15 +148,6 @@ impl Telemetry {
             .name_tenant(key.topo_fingerprint(), name);
     }
 
-    /// Records one control event (autopilot decisions, SLO judgements);
-    /// returns its sequence number.
-    pub fn record_event(&self, label: &str, detail: String) -> u64 {
-        self.ledger
-            .lock()
-            .expect("telemetry ledger lock")
-            .record_event(label, detail)
-    }
-
     /// Polls the ring, then snapshots the ledger.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         self.poll();
@@ -176,7 +166,6 @@ impl Telemetry {
                     stats: stats.clone(),
                 })
                 .collect(),
-            events: ledger.events().to_vec(),
         }
     }
 }
@@ -257,10 +246,8 @@ mod tests {
         );
         engine.run(&i, Query::Girth).unwrap();
         engine.shutdown();
-        telemetry.record_event("note", "shutdown".into());
         let snap = telemetry.snapshot();
         assert_eq!(snap.spans, 2, "second poll added the second span");
-        assert_eq!(snap.events.len(), 1);
     }
 
     #[test]

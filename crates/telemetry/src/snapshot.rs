@@ -3,7 +3,7 @@
 //! shared [`duality_workload::jsonl`] codec) for artifacts and offline
 //! analysis.
 
-use crate::ledger::{merge, TelemetryEvent, TenantStats};
+use crate::ledger::{merge, TenantStats};
 use duality_core::pool::PoolBytes;
 use duality_service::metrics::LATENCY_BUCKETS;
 use duality_service::LatencySnapshot;
@@ -52,8 +52,8 @@ impl TenantTelemetry {
 }
 
 /// Everything the telemetry spine knows at one instant: per-tenant
-/// attribution, per-shard occupancy, ring accounting, and the control
-/// event log.
+/// attribution, per-shard occupancy, build-phase time, pool bytes and
+/// ring accounting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Spans folded into the ledger.
@@ -74,8 +74,6 @@ pub struct TelemetrySnapshot {
     pub pool_bytes: PoolBytes,
     /// Per-tenant rows, in fingerprint order.
     pub tenants: Vec<TenantTelemetry>,
-    /// Recorded control events, in sequence order.
-    pub events: Vec<TelemetryEvent>,
 }
 
 impl TelemetrySnapshot {
@@ -91,32 +89,17 @@ impl TelemetrySnapshot {
             .find(|t| t.name.as_deref() == Some(name))
     }
 
-    /// All tenants' queue-wait histograms merged.
-    pub fn fleet_wait(&self) -> LatencySnapshot {
-        self.fleet(|s| &s.wait)
-    }
-
-    /// All tenants' service-time histograms merged.
-    pub fn fleet_service(&self) -> LatencySnapshot {
-        self.fleet(|s| &s.service)
-    }
-
     /// All tenants' end-to-end histograms merged (the same population as
     /// the engine's own latency histogram, minus any dropped spans).
     pub fn fleet_total(&self) -> LatencySnapshot {
-        self.fleet(|s| &s.total)
-    }
-
-    fn fleet(&self, pick: impl Fn(&TenantStats) -> &LatencySnapshot) -> LatencySnapshot {
         let mut out = LatencySnapshot::default();
         for t in &self.tenants {
-            merge(&mut out, pick(&t.stats));
+            merge(&mut out, &t.stats.total);
         }
         out
     }
 
-    /// The worst per-tenant end-to-end p99, with its owner — the number
-    /// the autopilot and per-tenant SLO checks react to.
+    /// The worst per-tenant end-to-end p99, with its owner.
     pub fn max_tenant_p99_us(&self) -> Option<(u64, u64)> {
         self.tenants
             .iter()
@@ -187,17 +170,6 @@ impl TelemetrySnapshot {
             }
             line(&mut out, &fields);
         }
-        for e in &self.events {
-            line(
-                &mut out,
-                &[
-                    ("kind", Val::s("event")),
-                    ("seq", Val::n(e.seq)),
-                    ("label", Val::s(&e.label)),
-                    ("detail", Val::s(&e.detail)),
-                ],
-            );
-        }
         out
     }
 
@@ -267,11 +239,6 @@ impl TelemetrySnapshot {
                         stats,
                     });
                 }
-                "event" => snap.events.push(TelemetryEvent {
-                    seq: obj.u64("seq").map_err(fail)?,
-                    label: obj.str("label").map_err(fail)?.to_string(),
-                    detail: obj.str("detail").map_err(fail)?.to_string(),
-                }),
                 other => return Err(fail(format!("unknown line kind `{other}`"))),
             }
         }
@@ -396,9 +363,6 @@ impl std::fmt::Display for TelemetrySnapshot {
                 _ => writeln!(f)?,
             }
         }
-        for e in &self.events {
-            writeln!(f, "  event {e}")?;
-        }
         Ok(())
     }
 }
@@ -455,11 +419,6 @@ mod tests {
                     },
                 },
             ],
-            events: vec![TelemetryEvent {
-                seq: 0,
-                label: "scale-up".into(),
-                detail: "2 -> 4 (queue pressure)".into(),
-            }],
         }
     }
 
@@ -489,6 +448,11 @@ mod tests {
         // lone index 3 would invent three shards, and u64::MAX overflowed
         // the old `shard + 1` resize.
         let header = "{\"kind\": \"telemetry\", \"version\": 1, \"spans\": 0, \"dropped\": 0}\n";
+        let event = format!(
+            "{header}{{\"kind\": \"event\", \"seq\": 0, \"label\": \"x\", \"detail\": \"y\"}}\n"
+        );
+        let err = TelemetrySnapshot::parse_jsonl(&event).unwrap_err();
+        assert!(err.to_string().contains("unknown line kind `event`"));
         for shard in ["3", "18446744073709551615"] {
             let text =
                 format!("{header}{{\"kind\": \"shard\", \"shard\": {shard}, \"jobs\": 1}}\n");
@@ -503,7 +467,6 @@ mod tests {
     fn fleet_merges_and_max_p99_attributes() {
         let snap = sample();
         assert_eq!(snap.fleet_total().count, 2);
-        assert_eq!(snap.fleet_wait().count, 3);
         let (owner, _) = snap.max_tenant_p99_us().unwrap();
         assert_eq!(owner, 0xabcd, "the only executing tenant owns the p99");
         assert_eq!(snap.by_name("grid-a").unwrap().tenant, 0xabcd);
@@ -523,7 +486,6 @@ mod tests {
         assert!(text.contains("shard occupancy"));
         assert!(text.contains("substrate build: bdd 1900µs, embed 120µs"));
         assert!(text.contains("pool memory: 48000 B resident (peak 64000 B, evicted 16000 B)"));
-        assert!(text.contains("scale-up"));
     }
 
     #[test]

@@ -250,6 +250,15 @@ impl Obj {
         u64::try_from(self.num(key)?).map_err(|_| format!("field `{key}` out of u64 range"))
     }
 
+    /// The `u32` field `key`.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing, not an integer, or out of range.
+    pub fn u32(&self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.num(key)?).map_err(|_| format!("field `{key}` out of u32 range"))
+    }
+
     /// The `i64` field `key`.
     ///
     /// # Errors

@@ -443,7 +443,7 @@ fn mutation_fields(mutation: &Mutation) -> Vec<(&'static str, Val)> {
 fn parse_mutation(obj: &Obj) -> Result<Mutation, String> {
     Ok(match obj.str("mutation")? {
         "scale_caps" => Mutation::ScaleCapacities {
-            percent: obj.u64("percent")? as u32,
+            percent: obj.u32("percent")?,
         },
         "edge_failures" => Mutation::EdgeFailures {
             count: obj.u64("count")? as usize,
@@ -451,7 +451,7 @@ fn parse_mutation(obj: &Obj) -> Result<Mutation, String> {
         },
         "weight_spikes" => Mutation::WeightSpikes {
             count: obj.u64("count")? as usize,
-            factor: obj.u64("factor")? as u32,
+            factor: obj.u32("factor")?,
             seed: obj.u64("seed")?,
         },
         "restore" => Mutation::Restore,
@@ -558,6 +558,29 @@ mod tests {
         assert!(Trace::parse_jsonl("{\"kind\": \"martian\"}").is_err());
         // Tenant line before any header.
         assert!(Trace::parse_jsonl("{\"kind\": \"tenant\", \"id\": 0}").is_err());
+        // u32 fields out of range are refused, not wrapped: 2^32 + 50
+        // would otherwise read as a valid 50.
+        let trace = Scenario::preset("steady-state", 2)
+            .unwrap()
+            .record()
+            .unwrap()
+            .to_jsonl();
+        let respec = |mutation: &str| {
+            format!(
+                "{trace}{{\"kind\": \"respec\", \"vt\": 0, \"tenant\": 0, {mutation}, \"key\": \"k\"}}\n"
+            )
+        };
+        for (field, rest) in [
+            ("percent", "\"mutation\": \"scale_caps\""),
+            (
+                "factor",
+                "\"mutation\": \"weight_spikes\", \"count\": 1, \"seed\": 1",
+            ),
+        ] {
+            assert!(Trace::parse_jsonl(&respec(&format!("{rest}, \"{field}\": 50"))).is_ok());
+            let wrapped = respec(&format!("{rest}, \"{field}\": 4294967346"));
+            assert!(Trace::parse_jsonl(&wrapped).is_err(), "{field}");
+        }
     }
 
     #[test]

@@ -67,10 +67,8 @@
 //! into a bounded overwrite-oldest ring, a [`TenantLedger`] folds spans
 //! into per-tenant latency histograms and outcome counters, and the
 //! versioned [`TelemetrySnapshot`] feeds both operators (JSONL export)
-//! and the control plane's autopilot — a pressure-driven
-//! [`Autopilot`](control::Autopilot) that scales the worker fleet up
-//! under queue or per-tenant p99 pressure and cooperatively retires it
-//! when pressure clears. The evidence layer is the [`lab`]: a
+//! and the control plane, which judges each tenant's SLO on its own
+//! attributed p99. The evidence layer is the [`lab`]: a
 //! versioned, byte-stable [`LabSpec`] declares an experiment (scenarios
 //! × worker/shard grid × run mode), the runner replays it or probes it
 //! to saturation ([`mod@workload::ramp`]), the results land in versioned
@@ -155,16 +153,14 @@ pub use duality_workload as workload;
 /// span records from the engine into a bounded overwrite-oldest ring
 /// sink, a [`TenantLedger`] attributing latency (queue-wait vs
 /// service-time) and outcomes to tenants, and the versioned JSONL
-/// [`TelemetrySnapshot`] the control plane's autopilot consumes.
+/// [`TelemetrySnapshot`] the control plane judges per-tenant SLOs on.
 pub use duality_telemetry as telemetry;
 
 /// The declarative control plane (re-export of [`duality_control`]):
 /// validated content-hashed [`FleetSpec`]s, the observe → diff → plan →
 /// execute [`Reconciler`] driving a [`ServiceEngine`] toward its spec
-/// within a bounded convergence budget, the telemetry-fed
-/// [`Autopilot`](control::Autopilot) originating worker-scaling
-/// decisions, and versioned hash-guarded [`StateStore`] snapshots for
-/// controller restart.
+/// within a bounded convergence budget, and versioned hash-guarded
+/// [`StateStore`] snapshots for controller restart.
 pub use duality_control as control;
 
 /// The experiment subsystem (re-export of [`duality_lab`]): declarative

@@ -6,18 +6,12 @@
 //!     own metrics even when a cancel storm races the queue;
 //! (b) ring overflow is dropped-and-counted, never blocking a worker;
 //! (c) attribution: per-tenant p99 diverges from the fleet-wide p99
-//!     under skewed tenants, and the worst tenant is identified;
-//! (d) the autopilot closed loop: telemetry pressure scales the worker
-//!     fleet up, and a clear window retires it back to the spec floor.
+//!     under skewed tenants, and the worst tenant is identified.
 
-use duality::control::AutopilotPolicy;
 use duality::service::{SpanRecord, SpanState};
 use duality::telemetry::TenantStats;
-use duality::workload::{FamilySpec, Scenario, TenantRecord};
-use duality::{
-    AdmissionPolicy, FleetSpec, PlanarInstance, Query, Reconciler, ServiceEngine, Telemetry,
-    TenantDecl,
-};
+use duality::workload::Scenario;
+use duality::{AdmissionPolicy, PlanarInstance, Query, ServiceEngine, Telemetry};
 use std::sync::Arc;
 
 fn instance(seed: u64) -> Arc<PlanarInstance> {
@@ -233,78 +227,4 @@ fn per_tenant_p99_diverges_from_the_fleet_under_skew() {
     assert_eq!(b, fleet);
     assert!(a <= 128, "the fast tenant's own p99 stays fast: {a}µs");
     assert_eq!(snap.max_tenant_p99_us(), Some((0xB, b)), "B is the worst");
-}
-
-/// (d) The closed loop through the public surface: one completed job
-/// puts latency pressure in the autopilot's window (p99 band at zero),
-/// the next reconcile pass surges the fleet to the ceiling, and the
-/// pass after — its window clear — retires back to the spec floor, with
-/// both decisions on the telemetry event log.
-#[test]
-fn autopilot_scales_on_pressure_and_retires_when_clear() {
-    let spec = FleetSpec {
-        name: "autopilot-int".into(),
-        revision: 1,
-        workers: 1,
-        shards: 1,
-        queue_capacity: 16,
-        pool_capacity: 4,
-        admission: AdmissionPolicy::Block,
-        tenants: vec![TenantDecl {
-            name: "grid".into(),
-            record: TenantRecord {
-                family: FamilySpec::DiagGrid { w: 4, h: 4 },
-                cap_range: (1, 9),
-                weight_range: (1, 9),
-                graph_seed: 7,
-                cap_seed: 8,
-                weight_seed: 9,
-            },
-            prewarm: true,
-            derate_percent: 100,
-            slo: None,
-        }],
-    };
-    let telemetry = Arc::new(Telemetry::new(256));
-    let mut fleet = Reconciler::launch_with_telemetry(spec, Arc::clone(&telemetry)).unwrap();
-    fleet.reconcile().unwrap();
-    fleet
-        .enable_autopilot(AutopilotPolicy {
-            queue_high_water: 1000, // queue never hot: pressure is p99-driven
-            queue_low_water: 0,
-            p99_high_us: 0, // any completed job trips the band
-            p99_low_us: 0,
-            scale_step: 2,
-            max_workers: 3,
-            cooldown_rounds: 0,
-        })
-        .unwrap();
-
-    let i = Arc::clone(fleet.instance("grid").unwrap());
-    fleet.engine().run(&i, Query::Girth).unwrap();
-    fleet.reconcile().unwrap();
-    assert_eq!(fleet.desired_workers(), 3, "pressure surged to the ceiling");
-
-    let obs = fleet.observe();
-    assert!(
-        obs.tenants[0].p99_us.is_some(),
-        "the tenant's SLO judgement runs on its own attributed latency"
-    );
-
-    fleet.reconcile().unwrap();
-    assert_eq!(
-        fleet.desired_workers(),
-        1,
-        "a clear window retires the surge"
-    );
-
-    let labels: Vec<String> = telemetry
-        .snapshot()
-        .events
-        .iter()
-        .map(|e| e.label.clone())
-        .collect();
-    assert!(labels.iter().any(|l| l == "scale-up"), "{labels:?}");
-    assert!(labels.iter().any(|l| l == "scale-down"), "{labels:?}");
-    fleet.shutdown();
 }
