@@ -3,14 +3,15 @@
 //! benches, and the `criterion_group!` / `criterion_main!` macros.
 //!
 //! Measurement is intentionally simple — a short warmup followed by
-//! `sample_size` timed samples of an adaptively chosen batch, reporting
+//! ten timed samples of an adaptively chosen batch, reporting
 //! min/median/mean per iteration — enough to compare implementations and
 //! catch large regressions without the real crate's statistical machinery.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Re-export of the standard black box, mirroring `criterion::black_box`.
-pub use std::hint::black_box;
+/// Timed samples per benchmark.
+const SAMPLES: usize = 10;
 
 /// Identifier of one benchmark within a group.
 #[derive(Clone, Debug)]
@@ -35,7 +36,6 @@ impl std::fmt::Display for BenchmarkId {
 
 /// The timing driver handed to bench closures.
 pub struct Bencher {
-    samples: usize,
     /// Mean/min/median nanoseconds per iteration of the last `iter` call.
     last: Option<(f64, f64, f64)>,
 }
@@ -49,8 +49,8 @@ impl Bencher {
         let once = t0.elapsed().max(Duration::from_nanos(1));
         let batch = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
 
-        let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
+        let mut per_iter: Vec<f64> = Vec::with_capacity(SAMPLES);
+        for _ in 0..SAMPLES {
             let start = Instant::now();
             for _ in 0..batch {
                 black_box(routine());
@@ -80,26 +80,16 @@ fn human(ns: f64) -> String {
 /// A named group of related benchmarks.
 pub struct BenchmarkGroup<'c> {
     name: String,
-    samples: usize,
     _criterion: &'c mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets the number of timed samples per benchmark.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        self.samples = samples.max(2);
-        self
-    }
-
     /// Benchmarks `f` with a borrowed input value.
     pub fn bench_with_input<I: ?Sized, F>(&mut self, id: BenchmarkId, input: &I, f: F) -> &mut Self
     where
         F: FnOnce(&mut Bencher, &I),
     {
-        let mut b = Bencher {
-            samples: self.samples,
-            last: None,
-        };
+        let mut b = Bencher { last: None };
         f(&mut b, input);
         match b.last {
             Some((mean, min, median)) => println!(
@@ -129,7 +119,6 @@ impl Criterion {
         println!("\n== {name} ==");
         BenchmarkGroup {
             name,
-            samples: 10,
             _criterion: self,
         }
     }
@@ -166,7 +155,6 @@ mod tests {
     fn bencher_records_statistics() {
         let mut c = Criterion::default();
         let mut group = c.benchmark_group("smoke");
-        group.sample_size(3);
         group.bench_with_input(BenchmarkId::from_parameter("x"), &21u64, |b, &x| {
             b.iter(|| black_box(x * 2))
         });

@@ -99,11 +99,9 @@ impl RoundReport {
 
     /// Merges another report into this one, tier by tier: topology into
     /// topology, weight into weight, query into query. This is the
-    /// cross-solver (and cross-shard) aggregation primitive — where
-    /// [`RoundReport::batched`] bills many queries of **one** solver
-    /// against one substrate snapshot, `absorb` sums the bills of
-    /// **independent** solvers (different instances, different pool
-    /// shards), each of which legitimately paid its own substrate.
+    /// cross-solver (and cross-shard) aggregation primitive: it sums the
+    /// bills of **independent** solvers (different instances, different
+    /// pool shards), each of which legitimately paid its own substrate.
     ///
     /// # Example
     ///
@@ -126,42 +124,6 @@ impl RoundReport {
         self.substrate_topo.absorb(&other.substrate_topo);
         self.substrate_weight.absorb(&other.substrate_weight);
         self.query.absorb(&other.query);
-    }
-
-    /// Merges a batch of per-query marginal ledgers against **one** pair
-    /// of substrate snapshots — the bill of a deduplicated solver batch:
-    /// each substrate tier is charged exactly once, the query share is the
-    /// sum of the executed queries' marginal shares.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use duality_congest::{CostLedger, RoundReport};
-    ///
-    /// let mut topo = CostLedger::new();
-    /// topo.charge("bdd-build", 120);
-    /// let mut q1 = CostLedger::new();
-    /// q1.charge("labeling-broadcast", 300);
-    /// let mut q2 = CostLedger::new();
-    /// q2.charge("labeling-broadcast", 200);
-    /// let merged = RoundReport::batched(topo, CostLedger::new(), [&q1, &q2]);
-    /// assert_eq!(merged.substrate_total(), 120); // charged once
-    /// assert_eq!(merged.query_total(), 500);
-    /// ```
-    pub fn batched<'a>(
-        substrate_topo: CostLedger,
-        substrate_weight: CostLedger,
-        marginals: impl IntoIterator<Item = &'a CostLedger>,
-    ) -> RoundReport {
-        let mut query = CostLedger::new();
-        for m in marginals {
-            query.absorb(m);
-        }
-        RoundReport {
-            substrate_topo,
-            substrate_weight,
-            query,
-        }
     }
 }
 
@@ -219,24 +181,6 @@ mod tests {
         assert_eq!(r.query_total(), 101);
         assert_eq!(r.phase_total("bdd-build"), 11);
         assert_eq!(r.phase_total("labeling-broadcast"), 107);
-    }
-
-    #[test]
-    fn batched_charges_each_substrate_tier_once() {
-        let r1 = report();
-        let r2 = report();
-        let merged = RoundReport::batched(
-            r1.substrate_topo.clone(),
-            r1.substrate_weight.clone(),
-            [&r1.query, &r2.query],
-        );
-        assert_eq!(merged.substrate_topo_total(), 15, "one topo share");
-        assert_eq!(merged.substrate_weight_total(), 7, "one weight share");
-        assert_eq!(merged.query_total(), 202, "marginals sum");
-        assert_eq!(merged.phase_total("bdd-build"), 12);
-        let empty = RoundReport::batched(r1.substrate_topo.clone(), CostLedger::new(), []);
-        assert_eq!(empty.query_total(), 0);
-        assert_eq!(empty.substrate_total(), 15);
     }
 
     #[test]

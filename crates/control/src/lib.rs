@@ -17,7 +17,7 @@
 //!   fleet (side-effect-free [`FleetObservation`]), diff against the
 //!   spec into a typed [`Plan`] of ordered [`Action`]s, execute through
 //!   the engine's public surface with per-action retry, re-observe;
-//!   repeat within a bounded convergence budget ([`ReconcilePolicy`]).
+//!   repeat within a bounded convergence budget ([`MAX_RECONCILE_ROUNDS`]).
 //!   Derated tenants are realized through the instances' copy-on-write
 //!   respec path, anchored to base specs the controller keeps alive, so
 //!   a derate shares its tenant's graph allocation and topology
@@ -82,7 +82,7 @@ pub mod store;
 pub use error::ControlError;
 pub use plan::{Action, Plan};
 pub use reconcile::{
-    retry, ConvergenceReport, FleetObservation, ReconcilePolicy, Reconciler, TenantObservation,
+    retry, ConvergenceReport, FleetObservation, Reconciler, TenantObservation, MAX_RECONCILE_ROUNDS,
 };
 pub use spec::{FleetSpec, Slo, TenantDecl, FLEET_SCHEMA_VERSION};
 pub use store::{Snapshot, StateStore, SNAPSHOT_SCHEMA_VERSION};

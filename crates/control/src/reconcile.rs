@@ -8,10 +8,9 @@
 //! [`Plan`], *executes* the plan's actions through the engine's public
 //! reconfiguration surface (each action retried with backoff), then
 //! re-observes — until a round produces an empty plan with the worker
-//! fleet settled, or the convergence budget
-//! ([`ReconcilePolicy::max_rounds`]) runs out. Observation is
-//! side-effect-free: it never touches pool LRU order, so watching a cold
-//! tenant cannot keep it warm.
+//! fleet settled, or the convergence budget ([`MAX_RECONCILE_ROUNDS`])
+//! runs out. Observation is side-effect-free: it never touches pool LRU
+//! order, so watching a cold tenant cannot keep it warm.
 //!
 //! Tenant instances are rebuilt bit for bit from their
 //! [`TenantRecord`]s (the trace-replay
@@ -34,30 +33,19 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Convergence budget and retry discipline for one reconcile pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReconcilePolicy {
-    /// Maximum observe/diff/execute rounds before giving up.
-    pub max_rounds: usize,
-    /// Pause between rounds, letting asynchronous effects (worker
-    /// threads retiring) land before the next observation.
-    pub settle: Duration,
-    /// Attempts per action before the round moves on.
-    pub retry_attempts: usize,
-    /// Pause between attempts of one action.
-    pub retry_backoff: Duration,
-}
+/// Maximum observe/diff/execute rounds of one reconcile pass before it
+/// gives up.
+pub const MAX_RECONCILE_ROUNDS: usize = 32;
 
-impl Default for ReconcilePolicy {
-    fn default() -> ReconcilePolicy {
-        ReconcilePolicy {
-            max_rounds: 32,
-            settle: Duration::from_millis(2),
-            retry_attempts: 3,
-            retry_backoff: Duration::from_millis(1),
-        }
-    }
-}
+/// Pause between rounds, letting asynchronous effects (worker threads
+/// retiring) land before the next observation.
+const SETTLE: Duration = Duration::from_millis(2);
+
+/// Attempts per action before the round moves on.
+const RETRY_ATTEMPTS: usize = 3;
+
+/// Pause between attempts of one action.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Runs `op` up to `attempts` times with `backoff` between tries, until
 /// it reports success. The retry primitive every plan action goes
@@ -208,7 +196,6 @@ pub struct Reconciler {
     engine: ServiceEngine,
     spec: FleetSpec,
     tenants: Vec<ManagedTenant>,
-    policy: ReconcilePolicy,
     store: Option<StateStore>,
     seq: u64,
     telemetry: Option<Arc<Telemetry>>,
@@ -265,7 +252,6 @@ impl Reconciler {
             engine,
             spec,
             tenants,
-            policy: ReconcilePolicy::default(),
             store: None,
             seq: 0,
             telemetry,
@@ -303,18 +289,6 @@ impl Reconciler {
         r.seq = snapshot.seq;
         r.store = Some(store);
         Ok(r)
-    }
-
-    /// Replaces the convergence/retry policy.
-    pub fn with_policy(mut self, policy: ReconcilePolicy) -> Reconciler {
-        self.policy = policy;
-        self
-    }
-
-    /// The telemetry spine this fleet reports into, when launched with
-    /// one.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
     }
 
     /// Attaches a [`StateStore`]; every converged reconcile pass
@@ -547,7 +521,7 @@ impl Reconciler {
         let mut slo_violations = 0u64;
         let mut converged = false;
         let mut rounds = 0usize;
-        while rounds < self.policy.max_rounds {
+        while rounds < MAX_RECONCILE_ROUNDS {
             rounds += 1;
             let obs = self.observe();
             slo_violations += obs.slo_violations;
@@ -557,14 +531,10 @@ impl Reconciler {
                 break;
             }
             for action in plan.actions {
-                retry(
-                    self.policy.retry_attempts,
-                    self.policy.retry_backoff,
-                    || self.execute(&action),
-                );
+                retry(RETRY_ATTEMPTS, RETRY_BACKOFF, || self.execute(&action));
                 actions.push(action);
             }
-            std::thread::sleep(self.policy.settle);
+            std::thread::sleep(SETTLE);
         }
         let report = ConvergenceReport {
             converged,

@@ -90,10 +90,6 @@ pub enum DualityError {
     /// Build the instance with `PlanarInstance::with_capacities` /
     /// `with_edge_weights`, or build a fresh solver.
     TopologyMismatch,
-    /// A keyed `SolverPool` lookup named an instance the pool has never
-    /// admitted (or has since evicted); submit the instance itself to
-    /// (re)admit it.
-    UnknownInstanceKey,
 }
 
 impl std::fmt::Display for DualityError {
@@ -148,13 +144,6 @@ impl std::fmt::Display for DualityError {
                     "respec requires an instance sharing the solver's graph \
                      allocation (use PlanarInstance::with_capacities / \
                      with_edge_weights)"
-                )
-            }
-            DualityError::UnknownInstanceKey => {
-                write!(
-                    f,
-                    "no cached solver under this instance key (never admitted \
-                     or already evicted)"
                 )
             }
         }

@@ -26,10 +26,8 @@
 //! returns a typed report with a [`duality_congest::RoundReport`] round
 //! split (`substrate_topo` / `substrate_weight` / `query`), and all
 //! failures surface as the one [`DualityError`] type. Requests are
-//! first-class values ([`solver::Query`] / [`solver::Outcome`]):
-//! [`solver::PlanarSolver::run`] executes one,
-//! [`solver::PlanarSolver::run_batch`] executes a deduplicated batch on a
-//! worker pool and merges the round bill.
+//! first-class values ([`solver::Query`] / [`solver::Outcome`]), and
+//! [`solver::PlanarSolver::run`] executes one.
 //!
 //! Re-speccing the same network — new tariffs, new line ratings — is
 //! copy-on-write end to end: [`instance::PlanarInstance::with_capacities`]
@@ -56,6 +54,4 @@ pub use error::DualityError;
 pub use heap_size::HeapSize;
 pub use instance::PlanarInstance;
 pub use pool::{InstanceKey, PoolBytes, PoolStats, ResidentEntry, SolverPool};
-pub use solver::{
-    BatchReport, Outcome, PlanarSolver, Query, SolverBuilder, SolverStats, TopoSubstrate,
-};
+pub use solver::{Outcome, PlanarSolver, Query, SolverBuilder, SolverStats, TopoSubstrate};

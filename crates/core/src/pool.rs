@@ -40,7 +40,7 @@
 use crate::error::DualityError;
 use crate::heap_size::HeapSize;
 use crate::instance::PlanarInstance;
-use crate::solver::{BatchReport, Outcome, PlanarSolver, Query};
+use crate::solver::{Outcome, PlanarSolver, Query};
 use duality_planar::PlanarGraph;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -61,8 +61,8 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 /// serving a cached solver, and its *respec-reuse* path demands
 /// allocation identity (`Arc::ptr_eq`) before sharing a topology
 /// substrate, so a collision can never splice two different problems
-/// together. Only the by-key entry points ([`SolverPool::get`],
-/// [`SolverPool::run_keyed`]) trust the hash alone.
+/// together. Only the by-key lookup ([`SolverPool::get`]) trusts the
+/// hash alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct InstanceKey {
     topo: u64,
@@ -486,9 +486,9 @@ impl SolverPool {
 
     /// The cached solver for `instance`, building (or respec-reusing) and
     /// admitting one on a miss. This is the get-or-insert primitive behind
-    /// [`SolverPool::run`] / [`SolverPool::run_batch`]; the returned
-    /// solver is an `O(1)` clone sharing the cached substrate, so it stays
-    /// valid (and keeps amortizing) even if the entry is evicted later.
+    /// [`SolverPool::run`]; the returned solver is an `O(1)` clone sharing
+    /// the cached substrate, so it stays valid (and keeps amortizing) even
+    /// if the entry is evicted later.
     pub fn solver(&self, instance: &Arc<PlanarInstance>) -> PlanarSolver {
         let key = InstanceKey::of(instance);
         // First pass under the lock: serve a hit, or pick a respec donor
@@ -656,42 +656,6 @@ impl SolverPool {
     ) -> Result<Outcome, DualityError> {
         self.solver(instance).run(query)
     }
-
-    /// Executes a deduplicated batch against the cached solver for
-    /// `instance` (admitting it on a miss) — see
-    /// [`PlanarSolver::run_batch`].
-    pub fn run_batch(&self, instance: &Arc<PlanarInstance>, queries: &[Query]) -> BatchReport {
-        self.solver(instance).run_batch(queries)
-    }
-
-    /// Executes one query by key alone.
-    ///
-    /// # Errors
-    ///
-    /// [`DualityError::UnknownInstanceKey`] when no solver is cached under
-    /// `key`; otherwise the per-query conditions of [`PlanarSolver::run`].
-    pub fn run_keyed(&self, key: &InstanceKey, query: Query) -> Result<Outcome, DualityError> {
-        self.get(key)
-            .ok_or(DualityError::UnknownInstanceKey)?
-            .run(query)
-    }
-
-    /// Executes a deduplicated batch by key alone.
-    ///
-    /// # Errors
-    ///
-    /// [`DualityError::UnknownInstanceKey`] when no solver is cached under
-    /// `key`.
-    pub fn run_batch_keyed(
-        &self,
-        key: &InstanceKey,
-        queries: &[Query],
-    ) -> Result<BatchReport, DualityError> {
-        Ok(self
-            .get(key)
-            .ok_or(DualityError::UnknownInstanceKey)?
-            .run_batch(queries))
-    }
 }
 
 impl std::fmt::Debug for SolverPool {
@@ -808,26 +772,16 @@ mod tests {
         let pool = SolverPool::new(2);
         let i = instance(7);
         let key = InstanceKey::of(&i);
-        assert_eq!(
-            pool.run_keyed(&key, Query::Girth).err(),
-            Some(DualityError::UnknownInstanceKey)
-        );
+        assert!(pool.get(&key).is_none(), "never admitted");
         let t = i.n() - 1;
         let by_instance = pool.run(&i, Query::MaxFlow { s: 0, t }).unwrap();
-        let by_key = pool.run_keyed(&key, Query::MaxFlow { s: 0, t }).unwrap();
+        let by_key = pool.get(&key).unwrap();
         assert_eq!(
             by_instance.as_max_flow().unwrap().value,
-            by_key.as_max_flow().unwrap().value
+            by_key.max_flow(0, t).unwrap().value
         );
-        let batch = pool
-            .run_batch_keyed(&key, &[Query::MaxFlow { s: 0, t }, Query::Girth])
-            .unwrap();
-        assert!(batch.all_ok());
-        assert_eq!(
-            pool.run_batch_keyed(&InstanceKey::of(&instance(8)), &[Query::Girth])
-                .err(),
-            Some(DualityError::UnknownInstanceKey)
-        );
+        assert!(by_key.run(Query::Girth).is_ok());
+        assert!(pool.get(&InstanceKey::of(&instance(8))).is_none());
     }
 
     #[test]

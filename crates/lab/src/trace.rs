@@ -141,8 +141,10 @@ pub fn to_chrome_json(slices: &[TraceSlice]) -> String {
 ///
 /// # Errors
 ///
-/// [`LabError::Parse`] on malformed JSON, missing fields, or an event
-/// phase other than `"X"`.
+/// [`LabError::Parse`] on malformed JSON, missing fields, an event
+/// phase other than `"X"`, a `pid`/`tid` that is not a `u64` integer, or
+/// a `ts`/`dur` outside `u64`. The format allows fractional `ts` and
+/// `dur`; those round to the nearest microsecond.
 pub fn parse_chrome_json(text: &str) -> Result<Vec<TraceSlice>, LabError> {
     let fail = |reason: String| LabError::Parse { line: 0, reason };
     let Val::O(doc) = Val::parse(text).map_err(fail)? else {
@@ -157,14 +159,25 @@ pub fn parse_chrome_json(text: &str) -> Result<Vec<TraceSlice>, LabError> {
         if ph != "X" {
             return Err(fail(format!("unsupported event phase `{ph}` (want X)")));
         }
-        let num = |key: &str| event.f64(key).map(|v| v.round() as u64).map_err(fail);
+        // An integer literal reads exactly; a float rounds only inside
+        // u64 (`u64::MAX as f64` is 2^64, the exclusive bound).
+        let time = |key: &str| {
+            event.u64(key).or_else(|_| {
+                let v = event.f64(key).map_err(fail)?;
+                if (0.0..u64::MAX as f64).contains(&v) {
+                    Ok(v.round() as u64)
+                } else {
+                    Err(fail(format!("field `{key}` out of u64 range")))
+                }
+            })
+        };
         slices.push(TraceSlice {
             name: event.str("name").map_err(fail)?.to_string(),
             cat: event.str("cat").map_err(fail)?.to_string(),
-            ts_us: num("ts")?,
-            dur_us: num("dur")?,
-            pid: num("pid")?,
-            tid: num("tid")?,
+            ts_us: time("ts")?,
+            dur_us: time("dur")?,
+            pid: event.u64("pid").map_err(fail)?,
+            tid: event.u64("tid").map_err(fail)?,
         });
     }
     Ok(slices)
@@ -220,5 +233,33 @@ mod tests {
         assert!(parse_chrome_json("").is_err());
         assert!(parse_chrome_json("{\"traceEvents\": [{\"ph\": \"B\"}]}").is_err());
         assert!(parse_chrome_json("{\"other\": []}").is_err());
+
+        // One `X` event whose `field` is `value` and every other number 1.
+        let doc = |field: &str, value: &str| {
+            let numbers: Vec<String> = ["ts", "dur", "pid", "tid"]
+                .iter()
+                .map(|&k| format!("\"{k}\": {}", if k == field { value } else { "1" }))
+                .collect();
+            format!(
+                "{{\"traceEvents\": [{{\"name\": \"n\", \"cat\": \"c\", \"ph\": \"X\", {}}}]}}",
+                numbers.join(", ")
+            )
+        };
+        for (field, value) in [
+            ("pid", "-5"),
+            ("pid", "1.5"),
+            ("tid", "18446744073709551616"),
+            ("ts", "1e30"),
+            ("dur", "-3"),
+        ] {
+            assert!(
+                parse_chrome_json(&doc(field, value)).is_err(),
+                "`{field}: {value}` must be refused"
+            );
+        }
+        let exact = parse_chrome_json(&doc("ts", "9007199254740993")).unwrap();
+        assert_eq!(exact[0].ts_us, 9_007_199_254_740_993, "no f64 detour");
+        let fractional = parse_chrome_json(&doc("dur", "2.5")).unwrap();
+        assert_eq!(fractional[0].dur_us, 3, "fractional times round");
     }
 }

@@ -20,9 +20,6 @@
 //!   thundering herd), and a lifecycle gate covering pause/resume,
 //!   graceful drain-on-close, and cooperative [`Popped::Retire`]
 //!   scale-down.
-//! - **Batched paths** ([`Scheduler::push_batch`], internal steal and
-//!   injector batches) that amortize synchronization per chunk instead
-//!   of per job.
 //!
 //! Scheduling here is deliberately *orthogonal to results*: the
 //! scheduler reorders execution (LIFO pops, stealing) but never

@@ -246,11 +246,6 @@ impl<T> Scheduler<T> {
         self.high_water.load(Ordering::Relaxed)
     }
 
-    /// Whether [`close`](Scheduler::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
     /// A snapshot of the activity counters.
     pub fn stats(&self) -> SchedStats {
         SchedStats {
@@ -284,40 +279,8 @@ impl<T> Scheduler<T> {
     pub fn push(&self, job: T, block: bool) -> Result<(), PushError> {
         self.admit(block)?;
         self.deliver(job);
-        self.wake(1);
+        self.wake();
         Ok(())
-    }
-
-    /// Submits a batch, amortizing admission and wakeups: slots are
-    /// reserved in chunks (one CAS per chunk instead of per job), jobs
-    /// are spread round-robin, and at most one wakeup per admitted job
-    /// is issued in a single pass. On refusal, returns the unadmitted
-    /// suffix with the reason; the prefix `jobs.len() - rest.len()` was
-    /// delivered. With `block`, only [`PushError::Closed`] can refuse.
-    pub fn push_batch(&self, jobs: Vec<T>, block: bool) -> Result<(), (Vec<T>, PushError)> {
-        let mut rest: VecDeque<T> = jobs.into();
-        loop {
-            if rest.is_empty() {
-                return Ok(());
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                return Err((rest.into(), PushError::Closed));
-            }
-            let granted = self.try_admit(rest.len());
-            if granted > 0 {
-                let batch: Vec<T> = rest.drain(..granted).collect();
-                let woken = self.deliver_batch(batch);
-                self.wake(woken);
-                continue;
-            }
-            if !block {
-                return Err((rest.into(), PushError::Full));
-            }
-            match self.park_pusher() {
-                Ok(()) => continue,
-                Err(err) => return Err((rest.into(), err)),
-            }
-        }
     }
 
     /// One worker's dequeue: own deque first (LIFO), then the injector,
@@ -418,7 +381,7 @@ impl<T> Scheduler<T> {
             if self.closed.load(Ordering::SeqCst) {
                 return Err(PushError::Closed);
             }
-            if self.try_admit(1) == 1 {
+            if self.try_admit() {
                 return Ok(());
             }
             if !block {
@@ -428,25 +391,23 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// CAS-reserves up to `want` admission slots, recording the exact
-    /// high-water mark at success. Returns how many were granted.
-    fn try_admit(&self, want: usize) -> usize {
+    /// CAS-reserves one admission slot, recording the exact high-water
+    /// mark at success. Returns whether the slot was granted.
+    fn try_admit(&self) -> bool {
         let mut depth = self.depth.load(Ordering::SeqCst);
         loop {
-            let granted = want.min(self.capacity.saturating_sub(depth));
-            if granted == 0 {
-                return 0;
+            if depth >= self.capacity {
+                return false;
             }
             match self.depth.compare_exchange_weak(
                 depth,
-                depth + granted,
+                depth + 1,
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
                 Ok(_) => {
-                    self.high_water
-                        .fetch_max(depth + granted, Ordering::Relaxed);
-                    return granted;
+                    self.high_water.fetch_max(depth + 1, Ordering::Relaxed);
+                    return true;
                 }
                 Err(current) => depth = current,
             }
@@ -510,52 +471,16 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Places an admitted batch round-robin across active deques,
-    /// trying every deque before overflowing a job to the injector.
-    /// Returns the batch size (the wakeup budget).
-    fn deliver_batch(&self, batch: Vec<T>) -> usize {
-        let woken = batch.len();
-        let deques = self.deques.read().expect("sched deque registry");
-        let n = deques.len();
-        let start = self.cursor.fetch_add(woken, Ordering::Relaxed);
-        for (i, job) in batch.into_iter().enumerate() {
-            let mut job = Some(job);
-            for offset in 0..n {
-                let deque = &deques[(start + i + offset) % n];
-                if deque.is_retired() {
-                    continue;
-                }
-                match deque.push(job.take().expect("job still in hand")) {
-                    Ok(()) => break,
-                    Err(back) => job = Some(back),
-                }
-            }
-            if let Some(job) = job {
-                self.counters
-                    .injector_overflows
-                    .fetch_add(1, Ordering::Relaxed);
-                self.injector.lock().expect("sched injector").push_back(job);
-            }
-        }
-        woken
-    }
-
-    /// Wakes up to `budget` parked workers, one notify each — never the
-    /// whole herd. Skips the gate lock entirely when nobody is parked
-    /// (the Dekker handshake in `pop` covers the race).
-    fn wake(&self, budget: usize) {
-        let parked = self.parked.load(Ordering::SeqCst);
-        if parked == 0 || budget == 0 {
+    /// Wakes one parked worker — never the whole herd. Skips the gate
+    /// lock entirely when nobody is parked (the Dekker handshake in `pop`
+    /// covers the race).
+    fn wake(&self) {
+        if self.parked.load(Ordering::SeqCst) == 0 {
             return;
         }
-        let wakes = budget.min(parked);
         let _gate = self.gate.lock().expect("sched gate");
-        for _ in 0..wakes {
-            self.not_empty.notify_one();
-        }
-        self.counters
-            .unparks
-            .fetch_add(wakes as u64, Ordering::Relaxed);
+        self.not_empty.notify_one();
+        self.counters.unparks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The worker's own deque (registering it if needed).
@@ -634,7 +559,6 @@ impl<T> Scheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
@@ -855,59 +779,6 @@ mod tests {
         let mut jobs: Vec<u32> = drained.iter().map(|(job, _)| *job).collect();
         jobs.sort_unstable();
         assert_eq!(jobs, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn push_batch_admits_a_prefix_and_returns_the_rest() {
-        let sched: Scheduler<u32> = Scheduler::new(2, 3, true);
-        let (rest, why) = sched
-            .push_batch((0..5).collect(), false)
-            .expect_err("two jobs do not fit");
-        assert_eq!(why, PushError::Full);
-        assert_eq!(rest, vec![3, 4], "the unadmitted suffix comes back");
-        assert_eq!(sched.depth(), 3);
-        assert_eq!(sched.high_water(), 3);
-        let drained = drain_jobs_until_empty(&sched, 0);
-        let mut jobs: Vec<u32> = drained.iter().map(|(job, _)| *job).collect();
-        jobs.sort_unstable();
-        assert_eq!(jobs, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn push_batch_refuses_everything_after_close() {
-        let sched: Scheduler<u32> = Scheduler::new(1, 8, true);
-        sched.close();
-        let (rest, why) = sched.push_batch(vec![1, 2], true).expect_err("closed");
-        assert_eq!((rest, why), (vec![1, 2], PushError::Closed));
-    }
-
-    #[test]
-    fn blocking_push_batch_drains_through_concurrent_poppers() {
-        let sched: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(2, 2, true));
-        let claimed = Arc::new(AtomicUsize::new(0));
-        let poppers: Vec<_> = (0..2)
-            .map(|worker| {
-                let sched = Arc::clone(&sched);
-                let claimed = Arc::clone(&claimed);
-                thread::spawn(move || {
-                    while sched.pop(worker).is_some() {
-                        claimed.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-            })
-            .collect();
-        sched.push_batch((0..40).collect(), true).unwrap();
-        sched.close();
-        for popper in poppers {
-            popper.join().unwrap();
-        }
-        // 40 jobs, 2 retire-free workers: everything claimed exactly once.
-        assert_eq!(claimed.load(Ordering::SeqCst), 40);
-        assert_eq!(sched.depth(), 0);
-        assert!(
-            sched.high_water() <= 2,
-            "batch admission still honors capacity"
-        );
     }
 
     #[test]

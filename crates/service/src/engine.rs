@@ -676,114 +676,6 @@ impl ServiceEngine {
             .wait()
     }
 
-    /// Submits `queries` against one instance through the scheduler's
-    /// batched path — admission slots are reserved in chunks and at most
-    /// one worker wakeup is issued per admitted job, instead of a full
-    /// push/wake cycle per query — then waits for all of them, returning
-    /// results in input order.
-    ///
-    /// Admission follows the engine policy per batch: under
-    /// [`AdmissionPolicy::Block`] the call parks until every job is
-    /// admitted (or the engine shuts down); under
-    /// [`AdmissionPolicy::Reject`] the jobs beyond capacity resolve to
-    /// [`ServiceError::NotAdmitted`] with [`SubmitError::QueueFull`]
-    /// (counted as rejected, one [`SpanState::Rejected`] span each)
-    /// while the admitted prefix executes normally.
-    pub fn run_batch(
-        &self,
-        instance: &Arc<PlanarInstance>,
-        queries: &[Query],
-    ) -> Vec<Result<Outcome, ServiceError>> {
-        let key = InstanceKey::of(instance);
-        let shard = self.shard_of(&key);
-        let submitted_at = Instant::now();
-        let mut slots: Vec<Arc<JobSlot>> = Vec::with_capacity(queries.len());
-        let jobs: Vec<Job> = queries
-            .iter()
-            .map(|&query| {
-                let slot = Arc::new(JobSlot::new());
-                slots.push(Arc::clone(&slot));
-                Job {
-                    instance: Arc::clone(instance),
-                    query,
-                    key,
-                    shard,
-                    deadline: None,
-                    submitted_at,
-                    slot,
-                }
-            })
-            .collect();
-        let block = matches!(self.admission(), AdmissionPolicy::Block);
-        // Same discipline as `submit_job`: count before the push, roll
-        // back whatever was refused.
-        self.shared
-            .metrics
-            .submitted
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        let refused = match self.shared.queue.push_batch(jobs, block) {
-            Ok(()) => Vec::new(),
-            Err((rest, why)) => {
-                self.shared
-                    .metrics
-                    .submitted
-                    .fetch_sub(rest.len() as u64, Ordering::Relaxed);
-                let err = match why {
-                    PushError::Full => {
-                        self.shared
-                            .metrics
-                            .rejected
-                            .fetch_add(rest.len() as u64, Ordering::Relaxed);
-                        SubmitError::QueueFull
-                    }
-                    PushError::Closed => SubmitError::ShuttingDown,
-                };
-                for job in &rest {
-                    if err == SubmitError::QueueFull {
-                        if let Some(sink) = &self.shared.sink {
-                            // Rejected jobs never reach a worker; the
-                            // submitter emits their span.
-                            sink.record(SpanRecord {
-                                tenant: job.key.topo_fingerprint(),
-                                spec: job.key.spec_hash(),
-                                query: query_kind(&job.query),
-                                shard: job.shard,
-                                worker: None,
-                                state: SpanState::Rejected,
-                                submitted_us: self.shared.stamp(submitted_at),
-                                admitted_us: None,
-                                dequeued_us: None,
-                                started_us: None,
-                                finished_us: self.shared.stamp(Instant::now()),
-                                source: None,
-                            });
-                        }
-                    }
-                    job.slot.resolve(Err(ServiceError::NotAdmitted(err)));
-                }
-                rest
-            }
-        };
-        // The admitted prefix gets its admission stamp (post-push: a
-        // blocked batch parks inside the push, like a single submit).
-        let admitted = queries.len() - refused.len();
-        let admit_stamp = self.shared.stamp(Instant::now());
-        for slot in slots.iter().take(admitted) {
-            slot.admitted_us.store(admit_stamp, Ordering::Relaxed);
-        }
-        drop(refused);
-        slots
-            .into_iter()
-            .map(|slot| {
-                Ticket {
-                    slot,
-                    shared: Arc::clone(&self.shared),
-                }
-                .wait()
-            })
-            .collect()
-    }
-
     /// The cached solver for `instance` from its home shard (admitting it
     /// on a miss) — the audit hatch: verification code can inspect the
     /// exact solver the engine's workers use, without going through the
@@ -1513,113 +1405,6 @@ mod tests {
                 assert_eq!(shard.pool.len, 0, "other shards never touched");
             }
         }
-    }
-
-    #[test]
-    fn run_batch_matches_serial_in_input_order() {
-        let engine = ServiceEngine::builder()
-            .shards(2)
-            .workers(4)
-            .build()
-            .unwrap();
-        let i = instance(40);
-        let t = i.n() - 1;
-        let queries: Vec<Query> = (0..12)
-            .map(|j| {
-                if j % 3 == 0 {
-                    Query::MaxFlow { s: 0, t }
-                } else {
-                    Query::Girth
-                }
-            })
-            .collect();
-        let results = engine.run_batch(&i, &queries);
-        assert_eq!(results.len(), queries.len());
-        let serial = PlanarSolver::from_instance(Arc::clone(&i));
-        for (query, result) in queries.iter().zip(&results) {
-            let got = result.as_ref().expect("batch job completes");
-            let want = serial.run(*query).unwrap();
-            match query {
-                Query::MaxFlow { .. } => {
-                    assert_eq!(
-                        got.as_max_flow().unwrap().value,
-                        want.as_max_flow().unwrap().value
-                    );
-                    assert_eq!(
-                        got.as_max_flow().unwrap().flow,
-                        want.as_max_flow().unwrap().flow,
-                        "stealing reorders execution, never results"
-                    );
-                }
-                _ => {
-                    assert_eq!(
-                        got.as_girth().unwrap().girth,
-                        want.as_girth().unwrap().girth
-                    );
-                    assert_eq!(
-                        got.as_girth().unwrap().cycle_edges,
-                        want.as_girth().unwrap().cycle_edges
-                    );
-                }
-            }
-        }
-        let m = engine.shutdown();
-        assert_eq!((m.submitted, m.completed), (12, 12));
-        assert!(m.queue_high_water <= 12, "admission accounting stays exact");
-    }
-
-    #[test]
-    fn run_batch_under_reject_refuses_only_the_overflow() {
-        let engine = ServiceEngine::builder()
-            .workers(1)
-            .queue_capacity(2)
-            .admission(AdmissionPolicy::Reject)
-            .start_paused()
-            .build()
-            .unwrap();
-        let i = instance(41);
-        // Under Reject, admission is decided synchronously against the
-        // paused queue; the call then blocks waiting on the admitted
-        // two, so it runs on a scoped thread while this one resumes.
-        let results = std::thread::scope(|scope| {
-            let batch = scope.spawn(|| engine.run_batch(&i, &[Query::Girth; 5]));
-            while engine.metrics().queue_depth < 2 {
-                std::thread::yield_now();
-            }
-            engine.resume();
-            batch.join().unwrap()
-        });
-        assert_eq!(results.len(), 5);
-        let admitted = results.iter().filter(|r| r.is_ok()).count();
-        let refused = results
-            .iter()
-            .filter(|r| matches!(r, Err(ServiceError::NotAdmitted(SubmitError::QueueFull))))
-            .count();
-        assert_eq!((admitted, refused), (2, 3), "capacity-2 queue admits two");
-        assert!(
-            results[0].is_ok() && results[1].is_ok(),
-            "the admitted prefix is the front of the batch"
-        );
-        let m = engine.shutdown();
-        assert_eq!((m.submitted, m.completed, m.rejected), (2, 2, 3));
-        assert_eq!(m.queue_high_water, 2);
-    }
-
-    #[test]
-    fn run_batch_after_shutdown_refuses_everything() {
-        let engine = ServiceEngine::builder().workers(1).build().unwrap();
-        let i = instance(42);
-        engine.shared.queue.close();
-        let results = engine.run_batch(&i, &[Query::Girth; 3]);
-        assert_eq!(results.len(), 3, "every query gets an answer");
-        for result in &results {
-            assert_eq!(
-                result.as_ref().unwrap_err(),
-                &ServiceError::NotAdmitted(SubmitError::ShuttingDown)
-            );
-        }
-        let m = engine.shutdown();
-        assert_eq!((m.submitted, m.rejected), (0, 0), "rollback is complete");
     }
 
     #[test]

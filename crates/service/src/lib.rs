@@ -18,8 +18,7 @@
 //!   `std::thread` workers that pop their own deque LIFO and steal from
 //!   siblings FIFO, with exactly one idle worker woken per submit;
 //!   callers get a typed [`Ticket`] back immediately and collect the
-//!   [`Outcome`](duality_core::Outcome) asynchronously — or push many
-//!   queries through the amortized [`ServiceEngine::run_batch`] path;
+//!   [`Outcome`](duality_core::Outcome) asynchronously;
 //! * **admission control** — the queue is bounded, and a full queue
 //!   either rejects ([`AdmissionPolicy::Reject`] →
 //!   [`SubmitError::QueueFull`]) or applies backpressure by blocking the

@@ -32,12 +32,10 @@
 //! clones in `O(1)`, so it can serve query traffic from many threads
 //! while building each substrate artifact exactly once. Queries are
 //! first-class values ([`Query`] → [`Outcome`] via
-//! [`PlanarSolver::run`]), and [`PlanarSolver::run_batch`] executes a
-//! heterogeneous, deduplicated batch on a worker pool. Every query
-//! returns a typed witness plus a [`RoundReport`](congest::RoundReport)
-//! splitting the CONGEST bill into `substrate_topo` / `substrate_weight`
-//! / marginal `query` shares (batches merge to one bill that charges the
-//! substrate once); every failure is the single [`DualityError`] type.
+//! [`PlanarSolver::run`]). Every query returns a typed witness plus a
+//! [`RoundReport`](congest::RoundReport) splitting the CONGEST bill into
+//! `substrate_topo` / `substrate_weight` / marginal `query` shares;
+//! every failure is the single [`DualityError`] type.
 //! For serving many instances, [`SolverPool`] maps cheap [`InstanceKey`]s
 //! to cached solvers with LRU eviction and respec-reuse — and
 //! [`ServiceEngine`] puts a full serving surface on top: instance keys
@@ -73,10 +71,10 @@
 //! × worker/shard grid × run mode), the runner replays it or probes it
 //! to saturation ([`mod@workload::ramp`]), the results land in versioned
 //! benchmark envelopes, and the lab's regression gate and trajectory
-//! report consume those envelopes back. See `DESIGN.md`
-//! for the instance → topo substrate → weight substrate → query → batch
-//! → pool → sched → engine → workload → telemetry → control → lab
-//! architecture and `EXPERIMENTS.md` for reproducing the measurements.
+//! report consume those envelopes back. See `DESIGN.md` for the
+//! instance → topo substrate → weight substrate → query → pool → sched →
+//! engine → workload → telemetry → control → lab architecture and
+//! `EXPERIMENTS.md` for reproducing the measurements.
 //!
 //! # Quickstart
 //!
@@ -97,15 +95,6 @@
 //!
 //! // The round bill separates amortized substrate from marginal query.
 //! println!("{}", flow.rounds);
-//!
-//! // Or phrase the workload as one typed batch: deduplicated, executed
-//! // on a worker pool, one merged bill charging the substrate once.
-//! use duality::Query;
-//! let batch = solver.run_batch(&[
-//!     Query::MaxFlow { s: 0, t: g.num_vertices() - 1 },
-//!     Query::MinStCut { s: 0, t: g.num_vertices() - 1 },
-//! ]);
-//! assert!(batch.all_ok());
 //! # Ok::<(), duality::DualityError>(())
 //! ```
 //!
@@ -170,13 +159,12 @@ pub use duality_control as control;
 pub use duality_lab as lab;
 
 pub use duality_control::{
-    Action, ControlError, ConvergenceReport, FleetObservation, FleetSpec, Plan, ReconcilePolicy,
-    Reconciler, Slo, StateStore, TenantDecl,
+    Action, ControlError, ConvergenceReport, FleetObservation, FleetSpec, Plan, Reconciler, Slo,
+    StateStore, TenantDecl,
 };
 pub use duality_core::{
-    BatchReport, DualityError, HeapSize, InstanceKey, Outcome, PlanarInstance, PlanarSolver,
-    PoolBytes, PoolStats, Query, ResidentEntry, SolverBuilder, SolverPool, SolverStats,
-    TopoSubstrate,
+    DualityError, HeapSize, InstanceKey, Outcome, PlanarInstance, PlanarSolver, PoolBytes,
+    PoolStats, Query, ResidentEntry, SolverBuilder, SolverPool, SolverStats, TopoSubstrate,
 };
 pub use duality_lab::{EnvRow, Envelope, LabError, LabSpec, Tolerances};
 pub use duality_service::{

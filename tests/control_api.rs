@@ -2,11 +2,11 @@
 //! spec round trips, bounded convergence, live reconfiguration, and
 //! crash recovery from hash-guarded snapshots.
 
-use duality::control::{Snapshot, FLEET_SCHEMA_VERSION};
+use duality::control::{Snapshot, FLEET_SCHEMA_VERSION, MAX_RECONCILE_ROUNDS};
 use duality::workload::{FamilySpec, TenantRecord};
 use duality::{
-    Action, AdmissionPolicy, ControlError, FleetSpec, InstanceKey, Query, ReconcilePolicy,
-    Reconciler, Slo, StateStore, TenantDecl,
+    Action, AdmissionPolicy, ControlError, FleetSpec, InstanceKey, Query, Reconciler, Slo,
+    StateStore, TenantDecl,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -78,10 +78,7 @@ fn a_pushed_spec_converges_within_the_budget() {
     let mut fleet_ctl = Reconciler::launch(fleet()).unwrap();
     let report = fleet_ctl.reconcile().unwrap();
     assert!(report.converged, "{report:?}");
-    assert!(
-        report.rounds <= ReconcilePolicy::default().max_rounds,
-        "bounded: {report:?}"
-    );
+    assert!(report.rounds <= MAX_RECONCILE_ROUNDS, "bounded: {report:?}");
 
     // Prewarmed tenants answer without a cold build through the queue;
     // the un-prewarmed one stays cold until traffic arrives.

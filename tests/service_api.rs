@@ -161,10 +161,10 @@ fn soak_concurrent_submitters_match_serial_execution() {
 fn engine_outcomes_are_identical_across_worker_and_shard_counts() {
     let i = instance(4, 4, 9);
     let qs = queries(&i);
-    let serial: Vec<Outcome> = {
-        let solver = PlanarSolver::from_instance(Arc::clone(&i));
-        qs.iter().map(|&q| solver.run(q).unwrap()).collect()
-    };
+    let solver = PlanarSolver::from_instance(Arc::clone(&i));
+    let serial: Vec<Outcome> = qs.iter().map(|&q| solver.run(q).unwrap()).collect();
+    let serial_query: u64 = serial.iter().map(|o| o.rounds().query_total()).sum();
+    assert!(solver.substrate_rounds().total() > 0);
     for shards in [1usize, 2, 4] {
         for workers in [1usize, 2, 4] {
             let engine = ServiceEngine::builder()
@@ -178,6 +178,17 @@ fn engine_outcomes_are_identical_across_worker_and_shard_counts() {
             }
             let m = engine.shutdown();
             assert_eq!(m.completed, qs.len() as u64);
+            // The amortized bill: the substrate is charged exactly once
+            // (every job that builds an artifact snapshots the ledger
+            // after the build, so the delta bill sums to the final
+            // ledger), and the query share is the sum of the marginals.
+            let config = format!("{workers} workers × {shards} shards");
+            assert_eq!(
+                m.substrate_rounds(),
+                solver.substrate_rounds().total(),
+                "{config}"
+            );
+            assert_eq!(m.query_rounds(), serial_query, "{config}");
         }
     }
 }

@@ -4,16 +4,14 @@
 //!     `duality-baselines` on random `diag_grid` instances;
 //! (b) max-flow value equals min-st-cut value (duality) through the solver;
 //! (c) repeated queries on one solver reuse the cached substrate (asserted
-//!     via the build counters and the substrate ledger);
-//! (d) a multi-threaded `run_batch` agrees bit-for-bit with serial `run`
-//!     on random instances and random duplicate patterns.
+//!     via the build counters and the substrate ledger).
 
 use duality::baselines::cuts::planar_directed_min_cut_reference;
 use duality::baselines::flow::planar_max_flow_reference;
 use duality::baselines::girth::planar_weighted_girth;
 use duality::core::verify;
 use duality::planar::gen;
-use duality::{Outcome, PlanarSolver, Query};
+use duality::PlanarSolver;
 use proptest::prelude::*;
 
 proptest! {
@@ -120,75 +118,5 @@ proptest! {
         prop_assert_eq!(solver.substrate_rounds().total(), frozen);
         prop_assert_eq!(again.rounds.substrate_total(), frozen);
         prop_assert_eq!(again.rounds.query.phase_total("bdd-build"), 0);
-    }
-
-    /// (d) Batched execution is indistinguishable from serial: same
-    /// values, same witnesses, same marginal round bills — on 2 and 4
-    /// worker threads, with a sample-dependent duplicate pattern.
-    #[test]
-    fn batch_matches_serial_execution(
-        w in 3usize..6,
-        h in 3usize..5,
-        seed in 0u64..10_000,
-        dup in 0usize..6,
-        threads in 2usize..5,
-    ) {
-        let g = gen::diag_grid(w, h, seed).unwrap();
-        let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, seed + 6);
-        let weights = gen::random_edge_weights(g.num_edges(), 1, 9, seed + 7);
-        let (s, t) = (0, g.num_vertices() - 1);
-        let build = || {
-            PlanarSolver::builder(&g)
-                .capacities(caps.clone())
-                .edge_weights(weights.clone())
-                .build()
-                .unwrap()
-        };
-
-        let mut queries = vec![
-            Query::MaxFlow { s, t },
-            Query::MinStCut { s, t },
-            Query::GlobalMinCut,
-            Query::Girth,
-        ];
-        queries.push(queries[dup % 4]); // a duplicate, position varies
-
-        let serial = build();
-        let want: Vec<Outcome> = queries.iter().map(|&q| serial.run(q).unwrap()).collect();
-
-        let batched = build();
-        let batch = batched.run_batch_on(&queries, threads);
-        prop_assert!(batch.all_ok());
-        prop_assert_eq!(batch.unique, 4);
-        prop_assert_eq!(batch.duplicates, 1);
-        prop_assert_eq!(batched.stats().queries, 4, "duplicate ran once");
-        for (a, b) in want.iter().zip(&batch.outcomes) {
-            let b = b.as_ref().unwrap();
-            let agree = match (a, b) {
-                (Outcome::MaxFlow(x), Outcome::MaxFlow(y)) => {
-                    x.value == y.value && x.flow == y.flow && x.probes == y.probes
-                        && x.rounds.query_total() == y.rounds.query_total()
-                }
-                (Outcome::MinStCut(x), Outcome::MinStCut(y)) => {
-                    x.value == y.value && x.side == y.side && x.cut_darts == y.cut_darts
-                        && x.rounds.query_total() == y.rounds.query_total()
-                }
-                (Outcome::GlobalMinCut(x), Outcome::GlobalMinCut(y)) => {
-                    x.value == y.value && x.side == y.side && x.cut_edges == y.cut_edges
-                        && x.rounds.query_total() == y.rounds.query_total()
-                }
-                (Outcome::Girth(x), Outcome::Girth(y)) => {
-                    x.girth == y.girth && x.cycle_edges == y.cycle_edges
-                        && x.rounds.query_total() == y.rounds.query_total()
-                }
-                _ => false,
-            };
-            prop_assert!(agree, "batched outcome diverged from serial");
-        }
-        // One merged bill, substrate charged once.
-        prop_assert_eq!(
-            batch.rounds.substrate_total(),
-            batched.substrate_rounds().total()
-        );
     }
 }
