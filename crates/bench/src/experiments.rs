@@ -570,8 +570,8 @@ mod calibration_tests {
     }
 }
 
-/// The committed lab specs behind the serving-stack experiments S5, S7,
-/// S9 and S10 (`experiments run experiments/<spec>.lab.jsonl`): their shape,
+/// The committed lab specs behind the serving-stack experiments S5, S7
+/// and S10 (`experiments run experiments/<spec>.lab.jsonl`): their shape,
 /// and the contracts of their smoke runs.
 #[cfg(test)]
 mod spec_tests {
@@ -579,7 +579,6 @@ mod spec_tests {
 
     const S5_SPEC: &str = include_str!("../../../experiments/s5-replay.lab.jsonl");
     const S7_SPEC: &str = include_str!("../../../experiments/s7-saturation.lab.jsonl");
-    const S9_SPEC: &str = include_str!("../../../experiments/s9-stealing.lab.jsonl");
     const S10_SPEC: &str = include_str!("../../../experiments/s10-memory.lab.jsonl");
 
     /// Parses a committed spec, which must be canonical and pin the
@@ -609,30 +608,6 @@ mod spec_tests {
         }
         assert!(matches!(committed(S5_SPEC).mode, RunMode::Replay));
         assert!(matches!(committed(S7_SPEC).mode, RunMode::Ramp(_)));
-    }
-
-    #[test]
-    fn stealing_spec_is_canonical_and_sweeps_the_worker_axis() {
-        let spec = committed(S9_SPEC);
-        assert!(matches!(spec.mode, RunMode::Ramp(_)));
-
-        let full = spec.run_cells(false);
-        assert_eq!(
-            full.iter().map(|c| c.workers).collect::<Vec<_>>(),
-            [1, 2, 4, 8],
-            "the full grid walks the worker axis"
-        );
-        assert!(
-            full.iter().all(|c| c.shards == 2),
-            "shards pinned so the sweep isolates the scheduler"
-        );
-        let smoke = spec.run_cells(true);
-        assert_eq!(
-            smoke.iter().map(|c| c.workers).collect::<Vec<_>>(),
-            [1, 8],
-            "smoke keeps the endpoints the efficiency ratio needs"
-        );
-        assert_eq!(spec.run_scenarios(true).len(), 2, "both presets in smoke");
     }
 
     #[test]

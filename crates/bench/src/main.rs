@@ -106,10 +106,9 @@ const TABLES: [Table; 13] = [
 
 /// The committed specs the smoke gate reruns, each against its
 /// `smoke/BENCH_<NAME>.json` baseline.
-const GATED_SPECS: [&str; 4] = [
+const GATED_SPECS: [&str; 3] = [
     "experiments/s5-replay.lab.jsonl",
     "experiments/s7-saturation.lab.jsonl",
-    "experiments/s9-stealing.lab.jsonl",
     "experiments/s10-memory.lab.jsonl",
 ];
 

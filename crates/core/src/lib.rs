@@ -53,5 +53,5 @@ pub mod verify;
 pub use error::DualityError;
 pub use heap_size::HeapSize;
 pub use instance::PlanarInstance;
-pub use pool::{InstanceKey, PoolBytes, PoolStats, ResidentEntry, SolverPool};
+pub use pool::{InstanceKey, PoolBytes, PoolStats, SolverPool};
 pub use solver::{Outcome, PlanarSolver, Query, SolverBuilder, SolverStats, TopoSubstrate};

@@ -151,8 +151,7 @@ fn same_embedding(a: &Arc<PlanarGraph>, b: &Arc<PlanarGraph>) -> bool {
 
 /// The byte gauges of a pool's cached solvers (see [`crate::heap_size`]
 /// for the accounting conventions) — the one byte record that the pool,
-/// the engine metrics, the telemetry spine and the control plane all
-/// carry.
+/// the engine metrics and the telemetry spine all carry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolBytes {
     /// Estimated heap bytes of the cached solvers right now. Refreshed on
@@ -259,44 +258,19 @@ impl std::fmt::Display for PoolStats {
     }
 }
 
-/// One cached entry's residency record (see [`SolverPool::residency`]):
-/// which key is cached and how long it has sat untouched. Age is measured
-/// in **lookup ticks** — the pool's logical clock advances once per
-/// instance- or key-bearing lookup, not with wall time — so "cold" means
-/// "many lookups have happened since anyone wanted this entry", which is
-/// exactly the signal an eviction policy wants, independent of traffic
-/// rate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResidentEntry {
-    /// The cached entry's key.
-    pub key: InstanceKey,
-    /// The pool's logical clock when this entry was last hit or admitted.
-    pub touched: u64,
-    /// Lookup ticks since then (`clock − touched`): 0 for the entry the
-    /// latest lookup touched, larger for colder entries.
-    pub idle: u64,
-}
-
 struct PoolEntry {
     key: InstanceKey,
     solver: PlanarSolver,
-    /// Logical-clock stamp of the last hit/admission (see
-    /// [`ResidentEntry`]).
-    touched: u64,
     /// Estimated heap bytes of `solver` as of the last remeasure —
     /// substrate tiers build lazily, so this grows after admission.
     bytes: u64,
 }
 
-/// Everything behind one lock: the LRU list (most recently used last),
-/// the logical lookup clock and the counters, so a lookup updates all of
-/// them atomically.
+/// Everything behind one lock: the LRU list (most recently used last)
+/// and the counters, so a lookup updates both atomically.
 #[derive(Default)]
 struct PoolInner {
     entries: Vec<PoolEntry>,
-    /// Advances once per instance- or key-bearing lookup; entries stamp
-    /// it into `touched` when hit or admitted.
-    clock: u64,
     /// The lookup, eviction and byte counters. `bytes.resident` is the
     /// sum of the entries' `bytes`, kept in lockstep with every insert,
     /// eviction and remeasure; the fields that live outside the lock
@@ -324,8 +298,7 @@ impl PoolInner {
     /// Marks the entry at `pos` most recently used (it moves last) and
     /// returns a clone of its solver.
     fn touch(&mut self, pos: usize) -> PlanarSolver {
-        let mut entry = self.entries.remove(pos);
-        entry.touched = self.clock;
+        let entry = self.entries.remove(pos);
         let solver = entry.solver.clone();
         self.entries.push(entry);
         solver
@@ -476,12 +449,7 @@ impl SolverPool {
     /// `true` when a solver is cached under `key` (does not touch recency
     /// or counters).
     pub fn contains(&self, key: &InstanceKey) -> bool {
-        self.inner
-            .lock()
-            .expect("pool lock")
-            .entries
-            .iter()
-            .any(|e| e.key == *key)
+        self.lock_inner().entries.iter().any(|e| e.key == *key)
     }
 
     /// The cached solver for `instance`, building (or respec-reusing) and
@@ -500,11 +468,7 @@ impl SolverPool {
         // on the candidate clone *after* the lock drops. A mismatch (a
         // 128-bit key collision) demotes the optimistic hit to a miss, so
         // a collision still degrades to a rebuild, never a wrong solver.
-        let candidate = {
-            let mut inner = self.lock_inner();
-            inner.clock += 1;
-            Self::lookup(&mut inner, key)
-        };
+        let candidate = Self::lookup(&mut self.lock_inner(), key);
         let demote = match candidate {
             Some(solver) if same_problem(solver.instance(), instance) => return solver,
             Some(_) => true,
@@ -563,11 +527,9 @@ impl SolverPool {
         if respecced {
             inner.stats.respec_reuses += 1;
         }
-        let touched = inner.clock;
         inner.entries.push(PoolEntry {
             key,
             solver: solver.clone(),
-            touched,
             bytes,
         });
         inner.stats.bytes.resident += bytes;
@@ -607,40 +569,7 @@ impl SolverPool {
     /// ([`SolverPool::solver`] / [`SolverPool::run`]) verify full content
     /// equality and are immune to key collisions.
     pub fn get(&self, key: &InstanceKey) -> Option<PlanarSolver> {
-        let mut inner = self.lock_inner();
-        inner.clock += 1;
-        Self::lookup(&mut inner, *key)
-    }
-
-    /// The residency table: one [`ResidentEntry`] per cached solver, in
-    /// LRU order (coldest first — the next LRU victim leads). Observation
-    /// only: touches neither recency, the clock, nor any counter, so a
-    /// control loop can poll it without keeping cold tenants warm.
-    pub fn residency(&self) -> Vec<ResidentEntry> {
-        let inner = self.lock_inner();
-        inner
-            .entries
-            .iter()
-            .map(|e| ResidentEntry {
-                key: e.key,
-                touched: e.touched,
-                idle: inner.clock.saturating_sub(e.touched),
-            })
-            .collect()
-    }
-
-    /// Drops the entry cached under `key`, if any. `true` when an entry
-    /// was removed — counted as an eviction in [`SolverPool::stats`] (it
-    /// is one, just policy-driven rather than capacity-driven). Handles
-    /// already cloned out of the pool remain valid; only the cache entry
-    /// (and its substrate amortization for future callers) is gone.
-    pub fn evict(&self, key: &InstanceKey) -> bool {
-        let mut inner = self.lock_inner();
-        let Some(pos) = inner.entries.iter().position(|e| e.key == *key) else {
-            return false;
-        };
-        inner.evict_at(pos);
-        true
+        Self::lookup(&mut self.lock_inner(), *key)
     }
 
     /// Executes one query against the cached solver for `instance`
@@ -756,7 +685,7 @@ mod tests {
             InstanceKey::of(&c),
         );
         pool.solver(&a);
-        pool.solver(&b);
+        let b_handle = pool.solver(&b);
         pool.solver(&a); // refresh a: b is now coldest
         pool.solver(&c); // evicts b
         assert!(pool.contains(&ka));
@@ -765,6 +694,8 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.evictions, stats.len), (1, 2));
         assert!(stats.to_string().contains("1 evictions"));
+        // Eviction drops the cache entry, not the handles cloned out of it.
+        assert!(b_handle.run(Query::Girth).is_ok());
     }
 
     #[test]
@@ -893,20 +824,37 @@ mod tests {
             "a single caller always takes the try_lock fast path"
         );
 
-        // Hold the pool mutex while another thread looks up: that thread
-        // must fall off the fast path and count the wait.
+        // Hold the pool mutex while other threads call in: each must fall
+        // off the fast path and count its wait. The wait for the count is
+        // bounded, so a lock site that bypasses the counter fails here
+        // instead of hanging.
+        let counted = |want: u64| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while pool.contended.load(Ordering::Relaxed) < want {
+                if std::time::Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            true
+        };
+        let key = InstanceKey::of(&i);
         let guard = pool.inner.lock().unwrap();
-        let waiter = {
+        let probe = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.contains(&key))
+        };
+        assert!(counted(1), "a contended `contains` is counted");
+        let lookup = {
             let pool = Arc::clone(&pool);
             let i = Arc::clone(&i);
             std::thread::spawn(move || pool.solver(&i))
         };
-        while pool.contended.load(Ordering::Relaxed) == 0 {
-            std::thread::yield_now();
-        }
+        assert!(counted(2), "a contended `solver` is counted");
         drop(guard);
-        waiter.join().unwrap();
-        assert!(pool.stats().lock_contended >= 1);
+        assert!(probe.join().unwrap());
+        lookup.join().unwrap();
+        assert_eq!(pool.stats().lock_contended, 2);
     }
 
     #[test]
@@ -961,56 +909,6 @@ mod tests {
         let mut acc = a;
         acc.absorb(&b);
         assert_eq!(acc, merged);
-    }
-
-    #[test]
-    fn residency_reports_lru_order_and_idle_age() {
-        let pool = SolverPool::new(4);
-        assert!(pool.residency().is_empty());
-        let (a, b) = (instance(30), instance(31));
-        let (ka, kb) = (InstanceKey::of(&a), InstanceKey::of(&b));
-        pool.solver(&a); // tick 1: admit a
-        pool.solver(&b); // tick 2: admit b
-        pool.solver(&a); // tick 3: hit a — b is now the cold one
-        let residency = pool.residency();
-        assert_eq!(residency.len(), 2);
-        assert_eq!(
-            residency[0],
-            ResidentEntry {
-                key: kb,
-                touched: 2,
-                idle: 1
-            }
-        );
-        assert_eq!(
-            residency[1],
-            ResidentEntry {
-                key: ka,
-                touched: 3,
-                idle: 0
-            }
-        );
-        // Observation is free of side effects: polling does not age or
-        // refresh anything.
-        assert_eq!(pool.residency(), residency);
-        let stats = pool.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-    }
-
-    #[test]
-    fn evict_by_key_drops_exactly_one_entry() {
-        let pool = SolverPool::new(4);
-        let (a, b) = (instance(32), instance(33));
-        let (ka, kb) = (InstanceKey::of(&a), InstanceKey::of(&b));
-        let solver = pool.solver(&a);
-        pool.solver(&b);
-        assert!(pool.evict(&ka), "resident entry evicts");
-        assert!(!pool.evict(&ka), "already gone");
-        assert!(!pool.contains(&ka));
-        assert!(pool.contains(&kb), "other entries survive");
-        assert_eq!(pool.stats().evictions, 1, "policy evictions are counted");
-        // A handle cloned out earlier still works after the eviction.
-        assert!(solver.run(Query::Girth).is_ok());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! grew up with: `experiments run <spec-file>` parses one of these and
 //! produces the same versioned `BENCH_*.json` envelope the harness
 //! always wrote. Specs serialize to the canonical JSONL codec the trace
-//! and fleet-spec formats share ([`duality_workload::jsonl`]):
+//! format uses too ([`duality_workload::jsonl`]):
 //! [`LabSpec::to_jsonl`] / [`LabSpec::parse_jsonl`] round-trip
 //! **byte-stable**, and parsing refuses unknown schema versions, line
 //! kinds, modes, and rules — a spec either means exactly what this

@@ -13,7 +13,6 @@
 //! dumb bounded container with two ends.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// One worker's bounded deque: LIFO for the owner, FIFO for thieves.
@@ -21,10 +20,6 @@ use std::sync::Mutex;
 pub struct StealDeque<T> {
     jobs: Mutex<VecDeque<T>>,
     capacity: usize,
-    /// Set when the owning worker retires (cooperative scale-down). A
-    /// retired deque stops receiving round-robin submissions; anything
-    /// it still holds is drained by thieves.
-    retired: AtomicBool,
 }
 
 impl<T> StealDeque<T> {
@@ -33,7 +28,6 @@ impl<T> StealDeque<T> {
         StealDeque {
             jobs: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            retired: AtomicBool::new(false),
         }
     }
 
@@ -84,17 +78,6 @@ impl<T> StealDeque<T> {
         let mut jobs = self.jobs.lock().expect("deque lock");
         let take = jobs.len().div_ceil(2).min(max);
         jobs.drain(..take).collect()
-    }
-
-    /// Marks the owning worker as retired; the scheduler skips retired
-    /// deques when routing new submissions.
-    pub(crate) fn retire(&self) {
-        self.retired.store(true, Ordering::Release);
-    }
-
-    /// Whether the owning worker has retired.
-    pub(crate) fn is_retired(&self) -> bool {
-        self.retired.load(Ordering::Acquire)
     }
 }
 

@@ -18,9 +18,10 @@
 //!
 //! # Wakeup protocol
 //!
-//! All lifecycle state (pause gate, retire credits, close) transitions
-//! under the `gate` mutex before notifying, and waiters re-check the
-//! flags under the same mutex, so lifecycle wakeups cannot be missed.
+//! Both lifecycle flags (the pause gate's `started`, and `closed`) go
+//! from false to true only, under the `gate` mutex before notifying,
+//! and waiters re-check them under the same mutex, so lifecycle wakeups
+//! cannot be missed.
 //! The submit fast path, however, does *not* take the gate: it checks
 //! `parked > 0` lock-free and only locks to notify when a worker is
 //! actually parked. That check races with a worker deciding to park, so
@@ -37,7 +38,7 @@ use crate::deque::StealDeque;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// How many jobs a thief migrates per successful steal (at most half of
@@ -95,16 +96,6 @@ impl fmt::Display for DequeueSource {
     }
 }
 
-/// What a worker gets back from [`Scheduler::pop`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    /// A job to run, tagged with where it was found.
-    Job(T, DequeueSource),
-    /// A retire credit: this worker should exit its loop. Retirement
-    /// outranks queued jobs and the pause gate.
-    Retire,
-}
-
 /// Scheduler activity counters, all monotonic since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -114,7 +105,7 @@ pub struct SchedStats {
     /// Steal attempts that found the victim's deque empty.
     pub steal_fails: u64,
     /// Jobs routed to the global injector because the target deque was
-    /// full (or no active deque existed).
+    /// full.
     pub injector_overflows: u64,
     /// Times a worker parked on the idle condvar.
     pub parks: u64,
@@ -132,14 +123,6 @@ impl fmt::Display for SchedStats {
     }
 }
 
-/// Lifecycle state guarded by the gate mutex.
-#[derive(Debug, Default)]
-struct Gate {
-    /// Outstanding retire credits; each is consumed by exactly one
-    /// worker, which exits.
-    retiring: usize,
-}
-
 #[derive(Debug, Default)]
 struct Counters {
     steals: AtomicU64,
@@ -154,23 +137,22 @@ struct Counters {
 /// Semantics mirror a bounded job queue — capacity clamps to ≥ 1,
 /// non-blocking pushes refuse with [`PushError::Full`], blocking pushes
 /// park until space or close, a pause gate buffers admitted work until
-/// [`resume`](Scheduler::resume), [`close`](Scheduler::close) drains
-/// then yields sticky `None`, and [`retire`](Scheduler::retire) credits
-/// outrank everything — but dequeues run over per-worker stealing
-/// deques instead of one global mutex queue.
+/// [`resume`](Scheduler::resume), and [`close`](Scheduler::close)
+/// drains then yields sticky `None` — but dequeues run over per-worker
+/// stealing deques instead of one global mutex queue.
 #[derive(Debug)]
 pub struct Scheduler<T> {
-    deques: RwLock<Vec<Arc<StealDeque<T>>>>,
+    /// One deque per worker, indexed by worker id; fixed at build.
+    deques: Vec<StealDeque<T>>,
     injector: Mutex<VecDeque<T>>,
     /// Jobs admitted and not yet claimed by a worker. The sole
     /// admission authority: pushes CAS this against `capacity`.
     depth: AtomicUsize,
     high_water: AtomicUsize,
     capacity: usize,
-    deque_capacity: usize,
     closed: AtomicBool,
     started: AtomicBool,
-    gate: Mutex<Gate>,
+    gate: Mutex<()>,
     not_empty: Condvar,
     not_full: Condvar,
     /// Workers currently in the idle wait. Incremented only under the
@@ -207,20 +189,18 @@ impl<T> Scheduler<T> {
         deque_capacity: usize,
         started: bool,
     ) -> Scheduler<T> {
-        let deque_capacity = deque_capacity.max(1);
         let deques = (0..workers.max(1))
-            .map(|_| Arc::new(StealDeque::new(deque_capacity)))
+            .map(|_| StealDeque::new(deque_capacity))
             .collect();
         Scheduler {
-            deques: RwLock::new(deques),
+            deques,
             injector: Mutex::new(VecDeque::new()),
             depth: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
             capacity: capacity.max(1),
-            deque_capacity,
             closed: AtomicBool::new(false),
             started: AtomicBool::new(started),
-            gate: Mutex::new(Gate::default()),
+            gate: Mutex::new(()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             parked: AtomicUsize::new(0),
@@ -257,22 +237,6 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Ensures a deque exists for worker ids `0..=worker`. Called by
-    /// the engine when it spawns a worker; `pop` also self-registers,
-    /// so explicit registration is an optimization, not a requirement.
-    pub fn register_worker(&self, worker: usize) {
-        {
-            let deques = self.deques.read().expect("sched deque registry");
-            if worker < deques.len() {
-                return;
-            }
-        }
-        let mut deques = self.deques.write().expect("sched deque registry");
-        while deques.len() <= worker {
-            deques.push(Arc::new(StealDeque::new(self.deque_capacity)));
-        }
-    }
-
     /// Submits one job. With `block`, parks until an admission slot
     /// frees or the scheduler closes; without, refuses immediately with
     /// [`PushError::Full`]. Exactly one parked worker is woken.
@@ -284,44 +248,34 @@ impl<T> Scheduler<T> {
     }
 
     /// One worker's dequeue: own deque first (LIFO), then the injector,
-    /// then batch-steals from siblings (FIFO). Blocks while the
-    /// scheduler is paused or empty; returns `None` (sticky) once the
-    /// scheduler is closed *and* drained.
-    pub fn pop(&self, worker: usize) -> Option<Popped<T>> {
-        self.register_worker(worker);
+    /// then batch-steals from siblings (FIFO). Returns the job with
+    /// where it was found. Blocks while the scheduler is paused or
+    /// empty; returns `None` (sticky) once the scheduler is closed
+    /// *and* drained.
+    ///
+    /// # Panics
+    ///
+    /// When `worker` is not below the worker count the scheduler was
+    /// built with.
+    pub fn pop(&self, worker: usize) -> Option<(T, DequeueSource)> {
         loop {
-            // Lifecycle gate: a pending retirement outranks queued work
-            // and the pause gate; the pause gate holds dispatch until
-            // resume or close.
-            {
+            // The pause gate holds dispatch until resume or close. A set
+            // flag is final, so only a scheduler still paused takes the
+            // gate, and it re-checks both flags under it before waiting.
+            if !self.dispatching() {
                 let mut gate = self.gate.lock().expect("sched gate");
-                loop {
-                    if gate.retiring > 0 {
-                        gate.retiring -= 1;
-                        drop(gate);
-                        self.deque_of(worker).retire();
-                        return Some(Popped::Retire);
-                    }
-                    if self.started.load(Ordering::SeqCst) || self.closed.load(Ordering::SeqCst) {
-                        break;
-                    }
+                while !self.dispatching() {
                     gate = self.not_empty.wait(gate).expect("sched gate");
                 }
             }
-            if let Some((job, source)) = self.try_dequeue(worker) {
+            if let Some(popped) = self.try_dequeue(worker) {
                 self.claim();
-                return Some(Popped::Job(job, source));
+                return Some(popped);
             }
             // Nothing visible anywhere: decide between ending, parking,
             // and a bounded in-flight nap — under the gate, so lifecycle
             // notifies cannot slip between the checks and the wait.
-            let mut gate = self.gate.lock().expect("sched gate");
-            if gate.retiring > 0 {
-                gate.retiring -= 1;
-                drop(gate);
-                self.deque_of(worker).retire();
-                return Some(Popped::Retire);
-            }
+            let gate = self.gate.lock().expect("sched gate");
             if self.depth.load(Ordering::SeqCst) == 0 {
                 if self.closed.load(Ordering::SeqCst) {
                     return None;
@@ -349,14 +303,6 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Grants `n` retire credits; each is consumed by exactly one
-    /// worker, which gets [`Popped::Retire`] ahead of any queued job.
-    pub fn retire(&self, n: usize) {
-        let mut gate = self.gate.lock().expect("sched gate");
-        gate.retiring += n;
-        self.not_empty.notify_all();
-    }
-
     /// Opens the pause gate: buffered and future jobs dispatch.
     pub fn resume(&self) {
         let _gate = self.gate.lock().expect("sched gate");
@@ -373,6 +319,12 @@ impl<T> Scheduler<T> {
         self.closed.store(true, Ordering::SeqCst);
         self.not_empty.notify_all();
         self.not_full.notify_all();
+    }
+
+    /// Whether the pause gate lets jobs out: resumed, or closed (a
+    /// closed scheduler drains even if it was never resumed).
+    fn dispatching(&self) -> bool {
+        self.started.load(Ordering::SeqCst) || self.closed.load(Ordering::SeqCst)
     }
 
     /// Reserves one admission slot, parking while full if `block`.
@@ -444,26 +396,11 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Places one admitted job: the next active deque in round-robin
-    /// order, overflowing to the injector when it is full (or when
-    /// every deque has retired).
+    /// Places one admitted job: the next deque in round-robin order,
+    /// overflowing to the injector when it is full.
     fn deliver(&self, job: T) {
-        let deques = self.deques.read().expect("sched deque registry");
-        let n = deques.len();
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let mut target = None;
-        for offset in 0..n {
-            let deque = &deques[(start + offset) % n];
-            if !deque.is_retired() {
-                target = Some(deque);
-                break;
-            }
-        }
-        let spilled = match target {
-            Some(deque) => deque.push(job).err(),
-            None => Some(job),
-        };
-        if let Some(job) = spilled {
+        let next = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if let Err(job) = self.deques[next % self.deques.len()].push(job) {
             self.counters
                 .injector_overflows
                 .fetch_add(1, Ordering::Relaxed);
@@ -483,26 +420,19 @@ impl<T> Scheduler<T> {
         self.counters.unparks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The worker's own deque (registering it if needed).
-    fn deque_of(&self, worker: usize) -> Arc<StealDeque<T>> {
-        self.register_worker(worker);
-        Arc::clone(&self.deques.read().expect("sched deque registry")[worker])
-    }
-
     /// One full dequeue scan for `worker`: local pop, injector drain,
     /// then batch steals from siblings.
     fn try_dequeue(&self, worker: usize) -> Option<(T, DequeueSource)> {
-        let deques = self.deques.read().expect("sched deque registry");
-        let own = &deques[worker];
+        let own = &self.deques[worker];
         if let Some(job) = own.pop() {
             return Some((job, DequeueSource::Local));
         }
         if let Some(job) = self.drain_injector(own) {
             return Some((job, DequeueSource::Injector));
         }
-        let n = deques.len();
+        let n = self.deques.len();
         for offset in 1..n {
-            let victim = &deques[(worker + offset) % n];
+            let victim = &self.deques[(worker + offset) % n];
             let mut batch = victim.steal_batch(STEAL_BATCH);
             if batch.is_empty() {
                 self.counters.steal_fails.fetch_add(1, Ordering::Relaxed);
@@ -564,13 +494,9 @@ mod tests {
     use std::time::Duration;
 
     /// Drains every job reachable by `worker`, returning the payloads
-    /// and sources in pop order. Stops at `Retire` or `None`.
+    /// and sources in pop order. Stops at `None`.
     fn drain_jobs(sched: &Scheduler<u32>, worker: usize) -> Vec<(u32, DequeueSource)> {
-        let mut out = Vec::new();
-        while let Some(Popped::Job(job, source)) = sched.pop(worker) {
-            out.push((job, source));
-        }
-        out
+        std::iter::from_fn(|| sched.pop(worker)).collect()
     }
 
     #[test]
@@ -582,12 +508,12 @@ mod tests {
         assert_eq!(sched.depth(), 3);
         assert_eq!(sched.high_water(), 3);
         // One worker, one deque: owner order is LIFO.
-        assert_eq!(sched.pop(0), Some(Popped::Job(3, DequeueSource::Local)));
+        assert_eq!(sched.pop(0), Some((3, DequeueSource::Local)));
         assert_eq!(sched.depth(), 2);
         sched.push(9, false).unwrap();
-        assert_eq!(sched.pop(0), Some(Popped::Job(9, DequeueSource::Local)));
-        assert_eq!(sched.pop(0), Some(Popped::Job(2, DequeueSource::Local)));
-        assert_eq!(sched.pop(0), Some(Popped::Job(1, DequeueSource::Local)));
+        assert_eq!(sched.pop(0), Some((9, DequeueSource::Local)));
+        assert_eq!(sched.pop(0), Some((2, DequeueSource::Local)));
+        assert_eq!(sched.pop(0), Some((1, DequeueSource::Local)));
         assert_eq!(sched.depth(), 0);
         assert_eq!(sched.high_water(), 3, "high water is a running maximum");
     }
@@ -648,10 +574,7 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         assert!(!popper.is_finished(), "paused scheduler hands out nothing");
         sched.resume();
-        assert_eq!(
-            popper.join().unwrap(),
-            Some(Popped::Job(5, DequeueSource::Local))
-        );
+        assert_eq!(popper.join().unwrap(), Some((5, DequeueSource::Local)));
     }
 
     #[test]
@@ -667,7 +590,7 @@ mod tests {
         let (first, second) = popper.join().unwrap();
         assert_eq!(
             first,
-            Some(Popped::Job(7, DequeueSource::Local)),
+            Some((7, DequeueSource::Local)),
             "close drains buffered work even if never resumed"
         );
         assert_eq!(second, None);
@@ -683,9 +606,9 @@ mod tests {
         };
         thread::sleep(Duration::from_millis(30));
         assert!(!pusher.is_finished(), "full scheduler blocks the pusher");
-        assert_eq!(sched.pop(0), Some(Popped::Job(1, DequeueSource::Local)));
+        assert_eq!(sched.pop(0), Some((1, DequeueSource::Local)));
         assert_eq!(pusher.join().unwrap(), Ok(()));
-        assert_eq!(sched.pop(0), Some(Popped::Job(2, DequeueSource::Local)));
+        assert_eq!(sched.pop(0), Some((2, DequeueSource::Local)));
         assert_eq!(sched.high_water(), 1, "never more than capacity admitted");
     }
 
@@ -703,40 +626,13 @@ mod tests {
     }
 
     #[test]
-    fn retire_outranks_jobs_and_the_pause_gate() {
-        let sched: Scheduler<u32> = Scheduler::new(1, 8, false);
-        sched.push(1, false).unwrap();
-        sched.retire(1);
-        // Still paused, a job is queued — the retire credit wins.
-        assert_eq!(sched.pop(0), Some(Popped::Retire));
-        sched.resume();
-        assert_eq!(sched.pop(1), Some(Popped::Job(1, DequeueSource::Stolen)));
-    }
-
-    #[test]
-    fn retire_wakes_a_parked_worker() {
-        let sched: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(1, 8, true));
-        let popper = {
-            let sched = Arc::clone(&sched);
-            thread::spawn(move || sched.pop(0))
-        };
-        thread::sleep(Duration::from_millis(30));
-        sched.retire(1);
-        assert_eq!(popper.join().unwrap(), Some(Popped::Retire));
-        assert!(sched.stats().parks >= 1, "the idle worker parked first");
-    }
-
-    #[test]
     fn submissions_spread_and_siblings_steal() {
         let sched: Scheduler<u32> = Scheduler::new(2, 16, true);
         for job in 0..6 {
             sched.push(job, false).unwrap();
         }
-        {
-            let deques = sched.deques.read().unwrap();
-            assert_eq!(deques[0].len(), 3, "round-robin spreads evenly");
-            assert_eq!(deques[1].len(), 3);
-        }
+        assert_eq!(sched.deques[0].len(), 3, "round-robin spreads evenly");
+        assert_eq!(sched.deques[1].len(), 3);
         // Worker 0 drains everything alone: locals first, then steals.
         let drained = drain_jobs_until_empty(&sched, 0);
         assert_eq!(drained.len(), 6);
@@ -755,10 +651,7 @@ mod tests {
     fn drain_jobs_until_empty(sched: &Scheduler<u32>, worker: usize) -> Vec<(u32, DequeueSource)> {
         let mut out = Vec::new();
         while sched.depth() > 0 {
-            match sched.pop(worker) {
-                Some(Popped::Job(job, source)) => out.push((job, source)),
-                other => panic!("expected a job, got {other:?}"),
-            }
+            out.push(sched.pop(worker).expect("a job while depth > 0"));
         }
         out
     }
@@ -790,10 +683,8 @@ mod tests {
                 let sched = Arc::clone(&sched);
                 thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(popped) = sched.pop(worker) {
-                        if let Popped::Job(job, _) = popped {
-                            got.push(job);
-                        }
+                    while let Some((job, _)) = sched.pop(worker) {
+                        got.push(job);
                     }
                     got
                 })

@@ -7,10 +7,10 @@
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, ShardMetrics};
 use crate::span::{query_kind, SpanRecord, SpanSink, SpanState};
-use duality_core::pool::{InstanceKey, PoolStats, ResidentEntry, SolverPool};
+use duality_core::pool::{InstanceKey, PoolStats, SolverPool};
 use duality_core::{DualityError, Outcome, PlanarInstance, PlanarSolver, Query};
-use duality_sched::{DequeueSource, Popped, PushError, Scheduler};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use duality_sched::{DequeueSource, PushError, Scheduler};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -26,28 +26,6 @@ pub enum AdmissionPolicy {
     /// of the box.
     #[default]
     Block,
-}
-
-impl AdmissionPolicy {
-    /// Stable wire/atomic encoding (`Reject` = 0, `Block` = 1) — used by
-    /// the engine's runtime-switchable policy cell and by control-plane
-    /// serialization.
-    pub fn encode(self) -> u8 {
-        match self {
-            AdmissionPolicy::Reject => 0,
-            AdmissionPolicy::Block => 1,
-        }
-    }
-
-    /// Inverse of [`AdmissionPolicy::encode`]; any non-zero value decodes
-    /// to `Block` (the lossless-by-default policy).
-    pub fn decode(v: u8) -> AdmissionPolicy {
-        if v == 0 {
-            AdmissionPolicy::Reject
-        } else {
-            AdmissionPolicy::Block
-        }
-    }
 }
 
 /// Why a submission was not admitted.
@@ -376,31 +354,25 @@ impl EngineBuilder {
             shards: shards?,
             queue: Scheduler::new(self.workers, self.queue_capacity, !self.start_paused),
             metrics: MetricsRegistry::new(self.shards, self.pool_capacity),
-            policy: AtomicU8::new(self.policy.encode()),
             epoch: Instant::now(),
             sink: self.sink,
         });
-        let workers: Vec<JoinHandle<()>> = (0..self.workers)
+        let workers = (0..self.workers)
             .map(|i| spawn_worker(&shared, i))
             .collect();
-        let target = workers.len();
         Ok(ServiceEngine {
             shared,
-            workers: Mutex::new(workers),
-            target_workers: AtomicUsize::new(target),
-            spawned: AtomicUsize::new(target),
+            workers,
+            policy: self.policy,
         })
     }
 }
 
 /// Spawns one worker thread, counting it into the live-worker gauge at
-/// the spawn site (so a freshly scaled engine observes the new worker
-/// immediately, not only once its thread gets scheduled).
+/// the spawn site (so the gauge reads the built worker count as soon as
+/// [`EngineBuilder::build`] returns, not only once each thread runs).
 fn spawn_worker(shared: &Arc<EngineShared>, id: usize) -> JoinHandle<()> {
     shared.metrics.live_workers.fetch_add(1, Ordering::Relaxed);
-    // Register the worker's stealing deque before its thread exists, so
-    // submissions can round-robin onto it immediately.
-    shared.queue.register_worker(id);
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("duality-worker-{id}"))
@@ -415,9 +387,6 @@ struct EngineShared {
     /// bounded admission queue, just spread over per-worker deques).
     queue: Scheduler<Job>,
     metrics: MetricsRegistry,
-    /// Runtime-switchable admission policy ([`AdmissionPolicy::encode`]),
-    /// read per submission — the control plane flips it live.
-    policy: AtomicU8,
     /// The zero point of every span tick stamp (engine creation).
     epoch: Instant,
     /// Where resolved jobs emit their lifecycle span, if anywhere.
@@ -474,18 +443,10 @@ impl EngineShared {
 /// `std::thread::scope`) by every request-handler thread.
 pub struct ServiceEngine {
     shared: Arc<EngineShared>,
-    /// Live worker thread handles — behind a mutex so
-    /// [`ServiceEngine::scale_workers`] can grow the fleet from `&self`.
-    /// Retired handles are reaped opportunistically on scale and joined
-    /// for good by the shutdown drain.
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    /// The worker count the engine is *steering toward* — updated
-    /// synchronously by [`ServiceEngine::scale_workers`]; the live count
-    /// ([`MetricsSnapshot::workers`]) converges to it as retired threads
-    /// exit.
-    target_workers: AtomicUsize,
-    /// Total workers ever spawned — the thread-name counter.
-    spawned: AtomicUsize,
+    /// The worker threads, joined by the shutdown drain.
+    workers: Vec<JoinHandle<()>>,
+    /// What a full queue does to a submission, fixed at build.
+    policy: AdmissionPolicy,
 }
 
 impl ServiceEngine {
@@ -497,51 +458,6 @@ impl ServiceEngine {
     /// Number of pool shards.
     pub fn shard_count(&self) -> usize {
         self.shared.shards.len()
-    }
-
-    /// The current worker *target*: the count the engine was built with,
-    /// as last adjusted by [`ServiceEngine::scale_workers`]. The live
-    /// thread count ([`MetricsSnapshot::workers`]) may briefly lag this
-    /// after a scale-down.
-    pub fn worker_count(&self) -> usize {
-        self.target_workers.load(Ordering::Relaxed)
-    }
-
-    /// Resizes the worker fleet to `target` threads (clamped to ≥ 1) and
-    /// returns the applied target. Scale-up spawns immediately; scale-down
-    /// retires the excess cooperatively — each surplus worker exits when
-    /// it next visits the queue (ahead of queued work, even on a paused
-    /// engine), never mid-job. Concurrent callers serialize; the last
-    /// target wins.
-    pub fn scale_workers(&self, target: usize) -> usize {
-        let target = target.max(1);
-        let mut handles = self.workers.lock().expect("worker registry lock");
-        // Reap threads that already retired so the handle vec tracks the
-        // live fleet instead of growing with every scale cycle.
-        handles.retain(|h| !h.is_finished());
-        let current = self.target_workers.load(Ordering::Relaxed);
-        if target > current {
-            for _ in current..target {
-                let id = self.spawned.fetch_add(1, Ordering::Relaxed);
-                handles.push(spawn_worker(&self.shared, id));
-            }
-        } else if target < current {
-            self.shared.queue.retire(current - target);
-        }
-        self.target_workers.store(target, Ordering::Relaxed);
-        target
-    }
-
-    /// The admission policy currently in force.
-    pub fn admission(&self) -> AdmissionPolicy {
-        AdmissionPolicy::decode(self.shared.policy.load(Ordering::Relaxed))
-    }
-
-    /// Switches the admission policy live. Submissions already parked by
-    /// [`AdmissionPolicy::Block`] stay parked; the new policy governs
-    /// submissions from here on.
-    pub fn set_admission(&self, policy: AdmissionPolicy) {
-        self.shared.policy.store(policy.encode(), Ordering::Relaxed);
     }
 
     /// The shard a key routes to: `topo_fingerprint mod shards`. Stable
@@ -602,7 +518,7 @@ impl ServiceEngine {
             submitted_at,
             slot: Arc::clone(&slot),
         };
-        let block = matches!(self.admission(), AdmissionPolicy::Block);
+        let block = self.policy == AdmissionPolicy::Block;
         // Count the submission *before* the push: the moment the job is in
         // the queue a worker can complete it, and `completed > submitted`
         // must be unobservable even in a snapshot taken right then. A
@@ -690,29 +606,6 @@ impl ServiceEngine {
         self.shared.shards.iter().map(SolverPool::stats).collect()
     }
 
-    /// Per-shard pool residency, indexed by shard: which instance keys
-    /// each shard currently caches and how cold they are (see
-    /// [`ResidentEntry`]). The observe half of the control loop.
-    pub fn shard_residency(&self) -> Vec<Vec<ResidentEntry>> {
-        self.shared
-            .shards
-            .iter()
-            .map(SolverPool::residency)
-            .collect()
-    }
-
-    /// Whether `key`'s solver is cached on its home shard. Never touches
-    /// LRU order — observation must not keep a cold tenant warm.
-    pub fn resident(&self, key: &InstanceKey) -> bool {
-        self.shared.shards[self.shard_of(key)].contains(key)
-    }
-
-    /// Evicts `key`'s solver from its home shard. `true` when an entry
-    /// was actually dropped (counted in the shard's eviction stats).
-    pub fn evict(&self, key: &InstanceKey) -> bool {
-        self.shared.shards[self.shard_of(key)].evict(key)
-    }
-
     /// The per-shard pool counters merged into one fleet-wide line.
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats::merged(&self.shard_stats())
@@ -765,20 +658,14 @@ impl ServiceEngine {
     /// Dropping the engine performs the same drain implicitly; `shutdown`
     /// exists so callers can sequence after the drain and keep the final
     /// numbers.
-    pub fn shutdown(self) -> MetricsSnapshot {
+    pub fn shutdown(mut self) -> MetricsSnapshot {
         self.drain();
         self.metrics()
     }
 
-    fn drain(&self) {
+    fn drain(&mut self) {
         self.shared.queue.close();
-        let handles: Vec<JoinHandle<()>> = self
-            .workers
-            .lock()
-            .expect("worker registry lock")
-            .drain(..)
-            .collect();
-        for handle in handles {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -794,8 +681,8 @@ impl std::fmt::Debug for ServiceEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceEngine")
             .field("shards", &self.shared.shards.len())
-            .field("workers", &self.worker_count())
-            .field("policy", &self.admission())
+            .field("workers", &self.workers.len())
+            .field("policy", &self.policy)
             .field("queue_depth", &self.shared.queue.depth())
             .finish()
     }
@@ -810,20 +697,15 @@ enum Claim {
 }
 
 /// One worker thread: pop → claim → (expire | execute) → resolve, until
-/// the queue closes and drains (or a retirement signal tells this worker
-/// specifically to exit — scale-down). Either way the live-worker gauge
-/// is decremented on the way out.
+/// the queue closes and drains; the live-worker gauge is decremented on
+/// the way out.
 ///
 /// Span emission piggybacks on the drain discipline: every admitted job
 /// — including one cancelled while queued — is eventually popped by
 /// exactly one worker, so emitting each job's span here (and only here)
 /// yields exactly one span per admitted job with no cancel/expire race.
 fn worker_loop(shared: &EngineShared, worker: usize) {
-    loop {
-        let (job, source) = match shared.queue.pop(worker) {
-            Some(Popped::Job(job, source)) => (job, source),
-            Some(Popped::Retire) | None => break,
-        };
+    while let Some((job, source)) = shared.queue.pop(worker) {
         let dequeued_at = Instant::now();
         let claim = {
             let mut state = job.slot.state.lock().expect("job slot lock");
@@ -949,7 +831,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(engine.shard_count(), 1);
-        assert_eq!(engine.worker_count(), 1);
+        assert_eq!(engine.metrics().workers, 1, "zero workers clamp to one");
+        assert_eq!(engine.shutdown().workers, 0, "shutdown joins it");
         assert!(matches!(
             ServiceEngine::builder().leaf_threshold(Some(1)).build(),
             Err(DualityError::BadLeafThreshold { got: 1 })
@@ -1094,9 +977,12 @@ mod tests {
                 engine.submit(i, Query::Girth).unwrap()
             })
             .collect();
+        assert_eq!(engine.metrics().workers, 2, "every built worker is live");
         // Shutdown on a *paused* engine: close releases the gate and the
         // backlog drains before the workers exit.
         let m = engine.shutdown();
+        assert_eq!(m.workers, 0, "every worker left its loop");
+        assert_eq!(m.running, 0, "nothing executing after the drain");
         assert_eq!((m.submitted, m.completed), (6, 6));
         assert_eq!(m.queue_depth, 0, "nothing left behind");
         assert_eq!(m.queue_high_water, 6);
@@ -1123,122 +1009,6 @@ mod tests {
         );
         let m = engine.shutdown();
         assert_eq!(m.submitted, 0);
-    }
-
-    /// Polls the live-worker gauge until it reaches `want` (bounded wait:
-    /// retired threads exit as soon as they next visit the queue).
-    fn await_live_workers(engine: &ServiceEngine, want: usize) {
-        for _ in 0..2_000 {
-            if engine.metrics().workers == want {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        panic!(
-            "live workers never reached {want} (at {})",
-            engine.metrics().workers
-        );
-    }
-
-    #[test]
-    fn scale_workers_up_and_down_converges_live_count() {
-        let engine = ServiceEngine::builder()
-            .shards(2)
-            .workers(1)
-            .build()
-            .unwrap();
-        assert_eq!(engine.worker_count(), 1);
-        assert_eq!(engine.metrics().workers, 1);
-
-        assert_eq!(engine.scale_workers(4), 4);
-        assert_eq!(engine.worker_count(), 4, "target updates synchronously");
-        assert_eq!(engine.metrics().workers, 4, "spawn counts immediately");
-
-        // The grown fleet actually serves.
-        let i = instance(20);
-        for _ in 0..8 {
-            let _ = engine.run(&i, Query::Girth).unwrap();
-        }
-
-        assert_eq!(engine.scale_workers(2), 2);
-        await_live_workers(&engine, 2);
-        assert_eq!(engine.scale_workers(0), 1, "clamped: never zero workers");
-        await_live_workers(&engine, 1);
-
-        // The surviving worker still serves, and the ledger stays exact.
-        let _ = engine.run(&i, Query::Girth).unwrap();
-        let m = engine.shutdown();
-        assert_eq!((m.submitted, m.completed), (9, 9));
-        assert_eq!(m.running, 0, "nothing executing after the drain");
-    }
-
-    #[test]
-    fn scale_down_of_a_paused_engine_does_not_deadlock() {
-        // Workers of a paused engine are parked behind the start gate;
-        // retirement must reach them anyway.
-        let engine = ServiceEngine::builder()
-            .workers(3)
-            .start_paused()
-            .build()
-            .unwrap();
-        let i = instance(21);
-        let ticket = engine.submit(&i, Query::Girth).unwrap();
-        engine.scale_workers(1);
-        await_live_workers(&engine, 1);
-        assert_eq!(engine.metrics().queue_depth, 1, "the job outlived retire");
-        engine.resume();
-        assert!(ticket.wait().is_ok(), "the survivor drained the backlog");
-    }
-
-    #[test]
-    fn admission_policy_switches_live() {
-        let engine = ServiceEngine::builder()
-            .workers(1)
-            .queue_capacity(1)
-            .admission(AdmissionPolicy::Block)
-            .start_paused()
-            .build()
-            .unwrap();
-        assert_eq!(engine.admission(), AdmissionPolicy::Block);
-        engine.set_admission(AdmissionPolicy::Reject);
-        assert_eq!(engine.admission(), AdmissionPolicy::Reject);
-
-        // Reject now governs: a full paused queue bounces instead of
-        // parking the submitter forever.
-        let i = instance(22);
-        let ticket = engine.submit(&i, Query::Girth).unwrap();
-        assert_eq!(
-            engine.submit(&i, Query::Girth).unwrap_err(),
-            SubmitError::QueueFull
-        );
-        engine.resume();
-        assert!(ticket.wait().is_ok());
-        let m = engine.shutdown();
-        assert_eq!((m.submitted, m.completed, m.rejected), (1, 1, 1));
-    }
-
-    #[test]
-    fn residency_and_evict_reach_the_home_shard() {
-        let engine = ServiceEngine::builder()
-            .shards(3)
-            .workers(1)
-            .build()
-            .unwrap();
-        let (a, b) = (instance(23), instance(24));
-        let _ = engine.run(&a, Query::Girth).unwrap();
-        let _ = engine.run(&b, Query::Girth).unwrap();
-        let (ka, kb) = (InstanceKey::of(&a), InstanceKey::of(&b));
-        assert!(engine.resident(&ka) && engine.resident(&kb));
-        let residency = engine.shard_residency();
-        assert_eq!(residency.len(), 3);
-        let resident_keys: Vec<InstanceKey> =
-            residency.iter().flatten().map(|entry| entry.key).collect();
-        assert!(resident_keys.contains(&ka) && resident_keys.contains(&kb));
-
-        assert!(engine.evict(&ka), "resident key evicts");
-        assert!(!engine.evict(&ka), "second evict finds nothing");
-        assert!(!engine.resident(&ka));
-        assert!(engine.resident(&kb), "other tenants untouched");
     }
 
     /// A test sink that never drops: appends every span under a mutex

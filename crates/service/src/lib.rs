@@ -30,12 +30,6 @@
 //! * **graceful shutdown** — [`ServiceEngine::shutdown`] stops admission,
 //!   drains every queued job, joins the workers and returns the final
 //!   metrics snapshot; dropping the engine does the same;
-//! * **live reconfiguration** — the control-plane levers:
-//!   [`ServiceEngine::scale_workers`] grows or cooperatively shrinks the
-//!   worker fleet at runtime, [`ServiceEngine::set_admission`] flips the
-//!   admission policy live, and [`ServiceEngine::shard_residency`] /
-//!   [`ServiceEngine::evict`] observe and prune what each shard pool
-//!   caches;
 //! * **live metrics** — a lock-light registry of atomic counters
 //!   (submitted / completed / failed / rejected / expired / cancelled), a
 //!   log-bucketed latency histogram, live queue-depth / running / worker

@@ -230,14 +230,12 @@ pub(crate) struct MetricsRegistry {
     pub expired: AtomicU64,
     pub cancelled: AtomicU64,
     /// Jobs executing on a worker *right now* (claimed, not yet resolved)
-    /// — the instantaneous pressure gauge the control plane reads, as
-    /// opposed to the derived
+    /// — the instantaneous pressure gauge, as opposed to the derived
     /// [`in_flight`](MetricsSnapshot::in_flight) which also counts the
     /// queued backlog.
     pub running: AtomicU64,
     /// Worker threads currently alive. Incremented at spawn, decremented
-    /// as each worker loop exits — so after a scale-down this converges
-    /// to the target only once the retired threads have actually left.
+    /// as each worker loop exits once the queue has closed and drained.
     pub live_workers: AtomicU64,
     pub latency: Histogram,
     shards: Vec<ShardBill>,
@@ -435,10 +433,9 @@ pub struct MetricsSnapshot {
     /// gauge; the claimed-but-unresolved slice of
     /// [`in_flight`](MetricsSnapshot::in_flight)).
     pub running: u64,
-    /// Worker threads currently alive. Tracks
-    /// [`ServiceEngine::scale_workers`](crate::ServiceEngine::scale_workers)
-    /// with a short lag on scale-down (retired threads exit when they next
-    /// visit the queue).
+    /// Worker threads currently alive: the built worker count while the
+    /// engine serves, and 0 once
+    /// [`ServiceEngine::shutdown`](crate::ServiceEngine::shutdown) returns.
     pub workers: usize,
     /// Submit-to-completion latency distribution of executed jobs.
     pub latency: LatencySnapshot,

@@ -124,8 +124,8 @@ impl TenantLedger {
         self.phase_us.iter().map(|(p, &us)| (p.as_str(), us))
     }
 
-    /// Registers a display name for a tenant fingerprint (the control
-    /// plane knows which `FleetSpec` tenant owns which topology).
+    /// Registers a display name for a tenant fingerprint (the caller
+    /// knows which named tenant owns which topology).
     pub fn name_tenant(&mut self, tenant: u64, name: &str) {
         self.names.insert(tenant, name.to_string());
     }

@@ -23,8 +23,8 @@
 //!   and serialized as versioned byte-stable JSONL through the shared
 //!   [`duality_workload::jsonl`] codec.
 //! * **[`Telemetry`]** — the handle tying them together: owns the ring
-//!   and the ledger, polls one into the other, and is what the control
-//!   plane attaches to judge per-tenant SLOs.
+//!   and the ledger, polls one into the other, and is what the lab
+//!   runner attaches to an engine.
 //!
 //! # Example
 //!
@@ -86,8 +86,7 @@ pub struct Telemetry {
 impl Telemetry {
     /// A telemetry spine whose ring buffers at most `ring_capacity`
     /// spans between polls. Size it to the burst you expect between
-    /// control-loop rounds: a full ring overwrites its oldest span and
-    /// counts the drop.
+    /// polls: a full ring overwrites its oldest span and counts the drop.
     pub fn new(ring_capacity: usize) -> Telemetry {
         Telemetry {
             ring: Arc::new(RingSink::new(ring_capacity)),
@@ -108,7 +107,7 @@ impl Telemetry {
     }
 
     /// Drains both rings into the ledger; returns how many spans (job +
-    /// build-phase) were folded. Call on the control plane's cadence.
+    /// build-phase) were folded. [`Telemetry::snapshot`] polls first.
     pub fn poll(&self) -> usize {
         let spans = self.ring.drain();
         let phases = self.ring.drain_phases();

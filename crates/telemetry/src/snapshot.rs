@@ -30,7 +30,8 @@ impl std::error::Error for TelemetryError {}
 pub struct TenantTelemetry {
     /// The tenant identity (topology fingerprint).
     pub tenant: u64,
-    /// Display name, when the control plane registered one.
+    /// Display name, when the caller registered one
+    /// ([`crate::Telemetry::name_tenant`]).
     pub name: Option<String>,
     /// Counters and wait/service/total histograms.
     pub stats: TenantStats,

@@ -183,8 +183,8 @@ pub fn drive_jobs(
 }
 
 /// [`drive_jobs`] against a *prebuilt* engine the caller owns — one that
-/// carries a telemetry sink, belongs to a reconciler, or serves several
-/// phases of one long run. The engine is left running (no shutdown):
+/// carries a telemetry sink or serves several phases of one long run.
+/// The engine is left running (no shutdown):
 /// [`RunReport::metrics`] is a live snapshot, cumulative across every
 /// phase the engine has served.
 ///

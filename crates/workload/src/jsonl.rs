@@ -1,14 +1,13 @@
 //! The JSON codec shared by every durable artifact format: the only
 //! JSON reader and string escaper in the workspace.
 //!
-//! The line formats (traces, fleet specs, control and telemetry
-//! snapshots, lab specs) hold one flat object per line, whose values
-//! are strings, integers or finite floats. The writer ([`line()`]) is
-//! canonical: fields serialize in the order given, with a fixed
-//! `", "` / `": "` layout, and floats in their shortest round-trip form
-//! with a forced `.0`/exponent marker — so re-serializing a parsed
-//! document is **byte-stable**, the property the tamper-detection idioms
-//! (content hashes over the serialized form) rely on. [`Obj::parse`]
+//! The line formats (traces, telemetry snapshots, lab specs) hold one
+//! flat object per line, whose values are strings, integers or finite
+//! floats. The writer ([`line()`]) is canonical: fields serialize in
+//! the order given, with a fixed `", "` / `": "` layout, and floats in
+//! their shortest round-trip form with a forced `.0`/exponent marker —
+//! so re-serializing a parsed document is **byte-stable**: a committed
+//! spec reads back and writes out to the same bytes. [`Obj::parse`]
 //! reads such a line back and refuses any other value.
 //!
 //! [`Val::parse`] reads any JSON document — nested objects and arrays,
@@ -16,7 +15,7 @@
 //! the pretty-printed lab envelopes and chrome traces, whose writers
 //! format their own layouts through [`json_string`]. The tenant
 //! [`FamilySpec`] field encoding lives here too, since both the trace
-//! and the fleet-spec formats embed tenant generator parameters.
+//! and the lab-spec formats embed tenant generator parameters.
 
 use crate::scenario::FamilySpec;
 
@@ -478,11 +477,11 @@ fn parse_literal(chars: &mut Chars<'_>) -> Result<Val, String> {
 }
 
 // ---------------------------------------------------------------------
-// The tenant-family field encoding, shared by traces and fleet specs.
+// The tenant-family field encoding, shared by traces and lab specs.
 
 /// The field encoding of a [`FamilySpec`] (inverse:
 /// [`parse_family`]) — spliced into tenant lines by both the trace and
-/// the fleet-spec formats.
+/// the lab-spec formats.
 pub fn family_fields(family: &FamilySpec) -> Vec<(&'static str, Val)> {
     match *family {
         FamilySpec::Grid { w, h } => vec![

@@ -1,8 +1,7 @@
-//! Property-based tests for the flat JSONL codec every durable format
-//! (traces, fleet specs, lab specs) is built on: round trips are
-//! lossless and re-serialization is byte-stable across randomized
-//! strings, integers, and floats — the invariant the content-hash
-//! tamper-detection idioms depend on.
+//! Property-based tests for the flat JSONL codec every durable line
+//! format (traces, telemetry snapshots, lab specs) is built on: round
+//! trips are lossless and re-serialization is byte-stable across
+//! randomized strings, integers, and floats.
 
 use duality_workload::jsonl::{line, Obj, Val};
 use proptest::prelude::*;

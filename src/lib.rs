@@ -46,34 +46,28 @@
 //! metrics. The [`workload`] subsystem generates the traffic: seeded
 //! [`Scenario`]s expand into replayable [`Trace`]s (versioned JSONL,
 //! instance-key-verified) that the load driver feeds through the engine
-//! and checks bit-for-bit against serial ground truth. Above it all sits
-//! the [`control`] plane: a content-hashed, durable [`FleetSpec`]
-//! declares the desired fleet (tenants, prewarm set, worker count,
-//! admission, derate levels, SLOs) and a [`Reconciler`] observes the
-//! live engine, diffs observation against spec into a typed plan, and
-//! executes it — with crash recovery from hash-verified
-//! [`StateStore`] snapshots. Underneath the engine sits the [`sched`]
-//! crate: per-worker bounded stealing deques (owners pop LIFO for cache
-//! warmth, thieves steal FIFO batches from the cold end) with a global
-//! overflow injector, exact admission accounting, and a parker that
-//! wakes exactly one idle worker per submit — dissolving the
-//! single-mutex dispatch bottleneck while keeping the bounded-queue
-//! admission semantics and the determinism contract intact. The
-//! [`telemetry`] spine makes the fleet
-//! observable *per tenant*: every engine job emits a compact span
-//! (queue-wait vs service-time, tenant topology fingerprint, outcome)
-//! into a bounded overwrite-oldest ring, a [`TenantLedger`] folds spans
-//! into per-tenant latency histograms and outcome counters, and the
-//! versioned [`TelemetrySnapshot`] feeds both operators (JSONL export)
-//! and the control plane, which judges each tenant's SLO on its own
-//! attributed p99. The evidence layer is the [`lab`]: a
+//! and checks bit-for-bit against serial ground truth. Underneath the
+//! engine sits the [`sched`] crate: per-worker bounded stealing deques
+//! (owners pop LIFO for cache warmth, thieves steal FIFO batches from
+//! the cold end) with a global overflow injector, exact admission
+//! accounting, and a parker that wakes exactly one idle worker per
+//! submit — dissolving the single-mutex dispatch bottleneck while
+//! keeping the bounded-queue admission semantics and the determinism
+//! contract intact. The [`telemetry`] spine makes the fleet observable
+//! *per tenant*: every engine job emits a compact span (queue-wait vs
+//! service-time, tenant topology fingerprint, outcome) into a bounded
+//! overwrite-oldest ring, a [`TenantLedger`] folds spans into
+//! per-tenant latency histograms and outcome counters, and the
+//! versioned [`TelemetrySnapshot`] exports them for operators (JSONL)
+//! and names the tenant with the worst attributed p99. The evidence
+//! layer is the [`lab`]: a
 //! versioned, byte-stable [`LabSpec`] declares an experiment (scenarios
 //! × worker/shard grid × run mode), the runner replays it or probes it
 //! to saturation ([`mod@workload::ramp`]), the results land in versioned
 //! benchmark envelopes, and the lab's regression gate and trajectory
 //! report consume those envelopes back. See `DESIGN.md` for the
 //! instance → topo substrate → weight substrate → query → pool → sched →
-//! engine → workload → telemetry → control → lab architecture and
+//! engine → workload → telemetry → lab architecture and
 //! `EXPERIMENTS.md` for reproducing the measurements.
 //!
 //! # Quickstart
@@ -118,9 +112,8 @@ pub use duality_core::pool;
 /// The work-stealing scheduler (re-export of [`duality_sched`]):
 /// per-worker bounded stealing deques (LIFO owner pop, FIFO steal) with
 /// a global overflow injector, exact depth/high-water admission
-/// accounting, one-wakeup-per-submit parking, pause/resume and
-/// drain-on-close lifecycle, and cooperative retire credits for
-/// scale-down.
+/// accounting, one-wakeup-per-submit parking, and a pause/resume and
+/// drain-on-close lifecycle.
 pub use duality_sched as sched;
 
 /// The sharded serving engine (re-export of [`duality_service`]): shard
@@ -142,15 +135,8 @@ pub use duality_workload as workload;
 /// span records from the engine into a bounded overwrite-oldest ring
 /// sink, a [`TenantLedger`] attributing latency (queue-wait vs
 /// service-time) and outcomes to tenants, and the versioned JSONL
-/// [`TelemetrySnapshot`] the control plane judges per-tenant SLOs on.
+/// [`TelemetrySnapshot`] with each tenant's attributed p99.
 pub use duality_telemetry as telemetry;
-
-/// The declarative control plane (re-export of [`duality_control`]):
-/// validated content-hashed [`FleetSpec`]s, the observe → diff → plan →
-/// execute [`Reconciler`] driving a [`ServiceEngine`] toward its spec
-/// within a bounded convergence budget, and versioned hash-guarded
-/// [`StateStore`] snapshots for controller restart.
-pub use duality_control as control;
 
 /// The experiment subsystem (re-export of [`duality_lab`]): declarative
 /// versioned [`LabSpec`]s, the replay/saturation runner, readable +
@@ -158,13 +144,9 @@ pub use duality_control as control;
 /// with per-metric tolerances, and the markdown trajectory report.
 pub use duality_lab as lab;
 
-pub use duality_control::{
-    Action, ControlError, ConvergenceReport, FleetObservation, FleetSpec, Plan, Reconciler, Slo,
-    StateStore, TenantDecl,
-};
 pub use duality_core::{
     DualityError, HeapSize, InstanceKey, Outcome, PlanarInstance, PlanarSolver, PoolBytes,
-    PoolStats, Query, ResidentEntry, SolverBuilder, SolverPool, SolverStats, TopoSubstrate,
+    PoolStats, Query, SolverBuilder, SolverPool, SolverStats, TopoSubstrate,
 };
 pub use duality_lab::{EnvRow, Envelope, LabError, LabSpec, Tolerances};
 pub use duality_service::{

@@ -4,14 +4,9 @@
 //! `Err`, never as a panic or as a silently shorter line; a file with
 //! garbage written over a few characters must never panic either.
 
-use duality::control::Snapshot;
 use duality::lab::{parse_chrome_json, to_chrome_json, TraceSlice};
 use duality::telemetry::{TenantStats, TenantTelemetry};
-use duality::workload::{FamilySpec, TenantRecord};
-use duality::{
-    AdmissionPolicy, EnvRow, Envelope, FleetSpec, LabSpec, PoolBytes, Scenario, TelemetrySnapshot,
-    TenantDecl, Trace,
-};
+use duality::{EnvRow, Envelope, LabSpec, PoolBytes, Scenario, TelemetrySnapshot, Trace};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -29,39 +24,6 @@ fn samples() -> &'static [Sample] {
     static SAMPLES: OnceLock<Vec<Sample>> = OnceLock::new();
     SAMPLES.get_or_init(|| {
         let trace = Scenario::preset("rush-hour", 3).unwrap().record().unwrap();
-
-        let spec = FleetSpec {
-            name: "truncation".into(),
-            revision: 3,
-            workers: 2,
-            shards: 2,
-            queue_capacity: 16,
-            pool_capacity: 4,
-            admission: AdmissionPolicy::Reject,
-            tenants: vec![TenantDecl {
-                name: "grid".into(),
-                record: TenantRecord {
-                    family: FamilySpec::DiagGrid { w: 5, h: 4 },
-                    cap_range: (1, 9),
-                    weight_range: (1, 9),
-                    graph_seed: 1,
-                    cap_seed: 2,
-                    weight_seed: 3,
-                },
-                prewarm: true,
-                derate_percent: 80,
-                slo: None,
-            }],
-        };
-        let snapshot = Snapshot {
-            schema_version: 1,
-            seq: 7,
-            spec_hash: spec.spec_hash(),
-            converged: true,
-            rounds: 2,
-            actions: 5,
-            spec: spec.clone(),
-        };
 
         let telemetry = TelemetrySnapshot {
             spans: 3,
@@ -108,16 +70,6 @@ fn samples() -> &'static [Sample] {
                 format: "trace",
                 doc: trace.to_jsonl(),
                 parses: |t| Trace::parse_jsonl(t).is_ok(),
-            },
-            Sample {
-                format: "fleet spec",
-                doc: spec.to_jsonl(),
-                parses: |t| FleetSpec::parse_jsonl(t).is_ok(),
-            },
-            Sample {
-                format: "control snapshot",
-                doc: snapshot.to_jsonl(),
-                parses: |t| Snapshot::parse_jsonl(t).is_ok(),
             },
             Sample {
                 format: "lab spec",

@@ -195,7 +195,7 @@ fn ring_overflow_drops_are_counted_never_blocking() {
 /// (c) Nine fast spans for tenant A and one slow span for tenant B: the
 /// fleet-wide p99 is pinned by B while A's own p99 stays orders of
 /// magnitude lower — the attribution the aggregate histogram cannot
-/// make.
+/// make. A tenant that ran no job is attributed no p99 at all.
 #[test]
 fn per_tenant_p99_diverges_from_the_fleet_under_skew() {
     let telemetry = Telemetry::new(64);
@@ -218,6 +218,11 @@ fn per_tenant_p99_diverges_from_the_fleet_under_skew() {
         sink.record(span(0xA, 100));
     }
     sink.record(span(0xB, 1_000_000));
+    sink.record(SpanRecord {
+        state: SpanState::Cancelled,
+        started_us: None,
+        ..span(0xC, 50)
+    });
 
     let snap = telemetry.snapshot();
     let fleet = snap.fleet_total().quantile_us(0.99).unwrap();
@@ -227,4 +232,9 @@ fn per_tenant_p99_diverges_from_the_fleet_under_skew() {
     assert_eq!(b, fleet);
     assert!(a <= 128, "the fast tenant's own p99 stays fast: {a}µs");
     assert_eq!(snap.max_tenant_p99_us(), Some((0xB, b)), "B is the worst");
+    // C's only job was cancelled in the queue: a row, but no p99. A
+    // tenant that never submitted has no row at all.
+    let c = snap.tenant(0xC).unwrap();
+    assert_eq!((c.stats.cancelled, c.p99_total_us()), (1, None));
+    assert!(snap.tenant(0xD).is_none());
 }
