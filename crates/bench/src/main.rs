@@ -311,9 +311,11 @@ fn cmd_dashboard(args: &[String]) -> i32 {
     0
 }
 
-/// A small in-process engine burst, so the dashboard's live-fleet
-/// section (memory gauges, phase profile, per-tenant attribution) shows
-/// the current build's behavior rather than canned numbers.
+/// A small, fixed in-process engine burst, so the dashboard's live-fleet
+/// section (memory gauges, span count, per-tenant job counts) shows the
+/// current build's behavior rather than canned numbers. The page renders
+/// only counts from it, none of its wall-clock timings, so a
+/// regeneration from one checkout is byte-identical.
 fn live_fleet_snapshot() -> duality_telemetry::TelemetrySnapshot {
     use duality_core::{PlanarInstance, Query};
     use duality_planar::gen;
@@ -333,9 +335,9 @@ fn live_fleet_snapshot() -> duality_telemetry::TelemetrySnapshot {
         let instance = PlanarInstance::new(g, Some(caps), None).expect("static instance");
         telemetry.name_tenant(&instance, name);
         let t = side * side - 1;
-        // All three queries together touch every substrate phase:
-        // max-flow (embed/dual/bdd), girth (dual), global cut
-        // (weight-tier/labeling).
+        // All three queries together build every substrate artifact, so
+        // the byte gauges cover them all: max-flow (embed/dual/bdd), girth
+        // (dual), global cut (weight-tier/labeling).
         for query in [
             Query::MaxFlow { s: 0, t },
             Query::Girth,

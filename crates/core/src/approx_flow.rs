@@ -23,18 +23,23 @@
 //! [`crate::solver::Query::ApproxMaxFlow`]).
 
 use crate::error::DualityError;
+use crate::smoothing::quantize;
 use duality_congest::{CostLedger, CostModel};
 use duality_minor_agg::{MaEdge, MinorAgg};
 use duality_planar::{dual::DualView, Dart, FaceId, PlanarGraph, Weight};
 
 /// What Hassin's pipeline computes: a rational flow `flow_numer[d] /
-/// denom` per dart and the two faces split by the artificial edge.
+/// denom` per dart, the augmented graph `G ∪ {e}`, the two faces split by
+/// the artificial edge, and the parent dart of every face in the shortest
+/// path tree from `f1`.
 pub(crate) struct ApproxFlowOutcome {
     pub value_numer: Weight,
     pub denom: Weight,
     pub flow_numer: Vec<Weight>,
+    pub aug: PlanarGraph,
     pub f1: FaceId,
     pub f2: FaceId,
+    pub parent: Vec<Option<Dart>>,
 }
 
 /// Hassin's pipeline proper. Inputs are pre-validated (distinct endpoints,
@@ -73,19 +78,17 @@ pub(crate) fn run_approx_flow(
     let f2 = aug.face_of(Dart::backward(new_edge));
     debug_assert_ne!(f1, f2, "the artificial edge splits its face");
 
-    // Quantized capacities: c̃ = c + ⌊c/k⌋ (k = 0 ⇒ exact).
+    // Quantized capacities: c̃ = c + ⌊c/k⌋ (k = 0 ⇒ exact), the
+    // (1+1/k)-smooth oracle's quantization.
     let k = eps_inverse as Weight;
-    // The (1+1/k)-smooth oracle's quantization — see `crate::smoothing`
-    // for the standalone, property-tested form.
-    let quantize = |c: Weight| if k > 0 { c + c / k } else { c };
     let big: Weight = (0..g.num_edges())
-        .map(|e| quantize(caps[2 * e]))
+        .map(|e| quantize(caps[2 * e], k))
         .sum::<Weight>()
         + 1;
     let mut lengths = vec![0; aug.num_darts()];
     for e in 0..g.num_edges() {
-        lengths[2 * e] = quantize(caps[2 * e]);
-        lengths[2 * e + 1] = quantize(caps[2 * e + 1]);
+        lengths[2 * e] = quantize(caps[2 * e], k);
+        lengths[2 * e + 1] = quantize(caps[2 * e + 1], k);
     }
     lengths[2 * new_edge] = big;
     lengths[2 * new_edge + 1] = big;
@@ -114,7 +117,7 @@ pub(crate) fn run_approx_flow(
     // Oracle distances: exact Dijkstra on the quantized lengths (1-smooth
     // w.r.t. c̃, hence (1+1/k)-smooth w.r.t. c).
     let dual = DualView::new(&aug, &lengths, |_| true);
-    let (dist, _) = dual.dijkstra(f1);
+    let (dist, parent) = dual.dijkstra(f1);
 
     // Assignment: numerators k·(δ(face(rev d)) − δ(face(d))) over
     // denominator k+1; exact mode: denominator 1.
@@ -137,8 +140,10 @@ pub(crate) fn run_approx_flow(
         value_numer: net_s,
         denom,
         flow_numer,
+        aug,
         f1,
         f2,
+        parent,
     })
 }
 
@@ -182,18 +187,18 @@ mod tests {
                 assert_eq!(net, 0, "conservation at {v}");
             }
         }
-        // Approximation guarantee: value ∈ [maxflow·k/(k+1), maxflow].
-        let exact = planar_max_flow_reference(g, caps, s, t);
-        assert!(r.value_numer <= exact * r.denom, "value exceeds max flow");
+        // Approximation guarantee: value ∈ [maxflow·k/(k+1), maxflow], in
+        // i128 so that large capacities cannot overflow the check itself.
+        let (value, denom) = (i128::from(r.value_numer), i128::from(r.denom));
+        let exact = i128::from(planar_max_flow_reference(g, caps, s, t));
+        assert!(value <= exact * denom, "value exceeds max flow");
         if k == 0 {
-            assert_eq!(r.value_numer, exact, "exact mode matches Dinic");
+            assert_eq!(value, exact, "exact mode matches Dinic");
         } else {
-            let kk = k as Weight;
+            let kk = i128::from(k);
             assert!(
-                r.value_numer * (kk + 1) >= exact * r.denom * kk,
-                "value {}/{} below (1-eps) * {exact}",
-                r.value_numer,
-                r.denom
+                value * (kk + 1) >= exact * denom * kk,
+                "value {value}/{denom} below (1-eps) * {exact}"
             );
         }
         r
@@ -269,6 +274,40 @@ mod tests {
             PlanarSolver::builder(&g).capacities(neg).build().err(),
             Some(DualityError::NegativeCapacity { dart: 0 })
         );
+    }
+
+    #[test]
+    fn eps_inverse_past_the_limits_is_refused() {
+        use crate::solver::MAX_EPS_INVERSE;
+        let g = gen::grid(4, 4).unwrap();
+        let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, 3);
+        let small = solver(&g, &caps);
+        // Unchecked, 2^40 overflows the oracle's round charge, and 2^63
+        // casts to a negative k that silently runs exact mode.
+        for eps_inverse in [1 << 40, 1 << 63, MAX_EPS_INVERSE + 1] {
+            let refused = Some(DualityError::EpsilonTooFine {
+                eps_inverse,
+                limit: MAX_EPS_INVERSE,
+            });
+            assert_eq!(small.approx_max_flow(0, 1, eps_inverse).err(), refused);
+            assert_eq!(small.approx_min_st_cut(0, 1, eps_inverse).err(), refused);
+        }
+        check(&g, &caps, 0, 1, MAX_EPS_INVERSE);
+
+        // Large capacities: Hassin's numerators bound 1/ε below the cap.
+        let big: Vec<Weight> = caps.iter().map(|&c| c << 40).collect();
+        let total: Weight = big.iter().sum();
+        let limit = (Weight::MAX / (4 * total + 2)) as u64;
+        assert!(limit < MAX_EPS_INVERSE);
+        let refused = Some(DualityError::EpsilonTooFine {
+            eps_inverse: limit + 1,
+            limit,
+        });
+        assert_eq!(
+            solver(&g, &big).approx_max_flow(0, 1, limit + 1).err(),
+            refused
+        );
+        check(&g, &big, 0, 1, limit);
     }
 
     #[test]

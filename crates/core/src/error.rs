@@ -6,7 +6,7 @@
 //! into it through `From`, and `source()` chains back to them.
 
 use duality_labeling::LabelingError;
-use duality_planar::PlanarError;
+use duality_planar::{PlanarError, Weight};
 
 /// Any failure of the `duality` façade.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,6 +54,28 @@ pub enum DualityError {
         expected: usize,
         /// The provided length.
         got: usize,
+    },
+    /// The per-dart capacities sum past `2^59 / (num_darts + 1)`, beyond
+    /// which a dual distance can reach the range the labeling reads as an
+    /// absent dart.
+    CapacityTotalTooLarge {
+        /// The largest total this graph accepts.
+        limit: Weight,
+    },
+    /// The per-edge weights sum past `2^59 / (num_darts + 1)`.
+    WeightTotalTooLarge {
+        /// The largest total this graph accepts.
+        limit: Weight,
+    },
+    /// `eps_inverse` (that is, `1/ε`) is past what the approximate
+    /// pipelines can represent on this instance: above `2^16`, where the
+    /// oracle's round charge can overflow, or so large that Hassin's flow
+    /// numerators could.
+    EpsilonTooFine {
+        /// The requested `1/ε`.
+        eps_inverse: u64,
+        /// The largest `1/ε` this instance accepts.
+        limit: u64,
     },
     /// The builder was given neither capacities nor edge weights.
     MissingInput,
@@ -114,6 +136,18 @@ impl std::fmt::Display for DualityError {
             }
             DualityError::WeightLengthMismatch { expected, got } => {
                 write!(f, "expected {expected} per-edge weights, got {got}")
+            }
+            DualityError::CapacityTotalTooLarge { limit } => {
+                write!(f, "capacities sum past {limit}, the limit for this graph")
+            }
+            DualityError::WeightTotalTooLarge { limit } => {
+                write!(f, "edge weights sum past {limit}, the limit for this graph")
+            }
+            DualityError::EpsilonTooFine { eps_inverse, limit } => {
+                write!(
+                    f,
+                    "1/eps = {eps_inverse} is past {limit}, the limit for this instance"
+                )
             }
             DualityError::MissingInput => {
                 write!(f, "the solver needs capacities and/or edge weights")
@@ -198,6 +232,21 @@ mod tests {
                     vertices: 1,
                 },
                 "query needs at least 2 vertices, instance has 1",
+            ),
+            (
+                DualityError::CapacityTotalTooLarge { limit: 7 },
+                "capacities sum past 7, the limit for this graph",
+            ),
+            (
+                DualityError::WeightTotalTooLarge { limit: 7 },
+                "edge weights sum past 7, the limit for this graph",
+            ),
+            (
+                DualityError::EpsilonTooFine {
+                    eps_inverse: 1 << 20,
+                    limit: 1 << 16,
+                },
+                "1/eps = 1048576 is past 65536, the limit for this instance",
             ),
         ];
         for (err, msg) in cases {

@@ -24,27 +24,26 @@
 //! one side of the bridge).
 //!
 //! Distributedly, every dual dart is examined at the unique bag of the BDD
-//! where it is a separator dual (or at its leaf bag), with the avoid-one-arc
-//! Dijkstra running on the bag's label-decoded DDG — a local computation
-//! after the same label broadcasts the SSSP algorithm performs, hence the
-//! `Õ(D²)` total. Correctness of the per-bag localization: a candidate walk
-//! in a bag's dual (or DDG) is a walk in `G'*`, so every candidate is
-//! ≥ mincut; and the optimal cycle `C` is wholly contained in every bag
-//! along the root-to-leaf descent until some bag either separator-classifies
-//! one of `C`'s darts (that dart's candidate there is ≤ `w(C)`, since
-//! `C` minus the dart is a path inside that bag's dual avoiding the
-//! reversal) or keeps `C` down to a leaf (the leaf candidate captures it).
+//! where it is a separator dual (or at its leaf bag), on the graph that bag
+//! was labeled from ([`DualLabels::bag_graph`]: a leaf's dual arcs or a
+//! non-leaf bag's DDG, whose `S_X` arcs are its only dart-carrying arcs).
+//! The bag's candidates are the arcs of that graph that carry a dart, each
+//! with its avoid-one-arc Dijkstra — a local computation after the same
+//! label broadcasts the SSSP algorithm performs, hence the `Õ(D²)` total.
+//! Correctness of the per-bag localization: a candidate walk in a bag's
+//! dual (or DDG) is a walk in `G'*`, so every candidate is ≥ mincut; and
+//! the optimal cycle `C` is wholly contained in every bag along the
+//! root-to-leaf descent until some bag either separator-classifies one of
+//! `C`'s darts (that dart's candidate there is ≤ `w(C)`, since `C` minus
+//! the dart is a path inside that bag's dual avoiding the reversal) or
+//! keeps `C` down to a leaf (the leaf candidate captures it).
 //!
 //! Run it through [`crate::solver::PlanarSolver::global_min_cut`] (or
 //! [`crate::solver::Query::GlobalMinCut`]), which caches the labels.
 
 use duality_congest::{CostLedger, CostModel};
-use duality_labeling::DualLabels;
+use duality_labeling::{BagGraph, DualLabels};
 use duality_planar::{Dart, FaceId, PlanarGraph, Weight, INF};
-use std::collections::HashMap;
-
-/// A weighted DDG arc: `(from, to, weight, crossing dart if any)`.
-type DdgArc = (usize, usize, Weight, Option<Dart>);
 
 /// The cycle–cut pipeline proper: per-dart candidates over the BDD bags
 /// against the **weight-tier** labels (the dual labeling at the augmented
@@ -69,37 +68,17 @@ pub(crate) fn run_global_cut(
         lengths[Dart::forward(e).index()] = w;
     }
 
-    // Per-dart candidates, each at the bag that owns the dart.
+    // Per-dart candidates, each at the bag that owns the dart: the arcs of
+    // the bag's graph that carry a dart.
     let mut best: Option<(Weight, Dart)> = None;
-    let consider = |best: &mut Option<(Weight, Dart)>, w: Weight, d: Dart| {
-        if best.is_none_or(|(bw, bd)| (w, d.index()) < (bw, bd.index())) {
-            *best = Some((w, d));
-        }
-    };
-    for bag in &engine.bdd.bags {
-        if bag.is_leaf() {
-            // All arcs of the (small) leaf dual: local computation after
-            // the leaf broadcast.
-            let dual = &engine.duals[bag.id];
-            let arcs: Vec<DdgArc> = dual
-                .arcs
-                .iter()
-                .map(|a| (a.from, a.to, lengths[a.dart.index()], Some(a.dart)))
-                .collect();
-            for a in &dual.arcs {
-                if let Some(dist) = dijkstra_avoiding(dual.len(), &arcs, a.to, a.from, a.dart.rev())
-                {
-                    consider(&mut best, lengths[a.dart.index()] + dist, a.dart);
-                }
-            }
-        } else {
-            // Separator darts: avoid-one-arc Dijkstra on the bag's DDG.
-            let sep = engine.separator_arcs(bag.id);
-            let (hn, h_arcs, rep) = build_ddg(labels, bag.id, &lengths);
-            for &(from, to, dart) in sep {
-                if let Some(dist) = dijkstra_avoiding(hn, &h_arcs, rep[&to], rep[&from], dart.rev())
-                {
-                    consider(&mut best, lengths[dart.index()] + dist, dart);
+    for bag in 0..engine.bdd.bags.len() {
+        let graph = labels.bag_graph(bag, &lengths);
+        for &(from, to, w, dart) in &graph.arcs {
+            let Some(dart) = dart else { continue };
+            if let Some(dist) = dijkstra_avoiding(&graph, to, from, dart.rev()) {
+                let cand = w + dist;
+                if best.is_none_or(|(bw, bd)| (cand, dart.index()) < (bw, bd.index())) {
+                    best = Some((cand, dart));
                 }
             }
         }
@@ -135,90 +114,14 @@ pub(crate) fn run_global_cut(
     (value, side, cut_edges)
 }
 
-/// Builds the bag's DDG: nodes are `(child, F_X face)` parts (plus orphan
-/// nodes for `F_X` faces absent from every child); arcs are per-child
-/// cliques of label-decoded distances, the `S_X` dual darts, and zero
-/// links among parts of the same face. Returns `(node_count, arcs,
-/// representative node per face)`.
-fn build_ddg(
-    labels: &DualLabels,
-    bid: usize,
-    lengths: &[Weight],
-) -> (usize, Vec<DdgArc>, HashMap<FaceId, usize>) {
-    let engine = labels.engine();
-    let bag = &engine.bdd.bags[bid];
-    let fx = &engine.fx[bid];
-    let mut nodes: Vec<(usize, FaceId)> = Vec::new();
-    let mut rep: HashMap<FaceId, usize> = HashMap::new();
-    for &f in fx {
-        let mut found = false;
-        for (ci, &c) in bag.children.iter().enumerate() {
-            if engine.duals[c].node_index.contains_key(&f) {
-                let id = nodes.len();
-                nodes.push((ci, f));
-                rep.entry(f).or_insert(id);
-                found = true;
-            }
-        }
-        if !found {
-            let id = nodes.len();
-            nodes.push((usize::MAX, f));
-            rep.insert(f, id);
-        }
-    }
-    let mut arcs: Vec<DdgArc> = Vec::new();
-    // Child cliques from labels.
-    for (i, &(ci, f)) in nodes.iter().enumerate() {
-        if ci == usize::MAX {
-            continue;
-        }
-        let child = bag.children[ci];
-        for (j, &(cj, h)) in nodes.iter().enumerate() {
-            if cj != ci || i == j {
-                continue;
-            }
-            if let Some(w) = labels.decode_in_bag(child, f, h) {
-                arcs.push((i, j, w, None));
-            }
-        }
-    }
-    // Separator darts (attached to representatives; zero links equalize
-    // the parts).
-    for &(from, to, dart) in engine.separator_arcs(bid) {
-        arcs.push((rep[&from], rep[&to], lengths[dart.index()], Some(dart)));
-    }
-    // Zero links among parts of the same face.
-    for &f in fx {
-        let parts: Vec<usize> = nodes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(_, ff))| ff == f)
-            .map(|(i, _)| i)
-            .collect();
-        for &a in &parts {
-            for &b in &parts {
-                if a != b {
-                    arcs.push((a, b, 0, None));
-                }
-            }
-        }
-    }
-    (nodes.len(), arcs, rep)
-}
-
-/// Dijkstra from `src` to `dst` over weighted arcs, skipping the single
-/// arc tagged with the dart `avoid`.
-fn dijkstra_avoiding(
-    n: usize,
-    arcs: &[DdgArc],
-    src: usize,
-    dst: usize,
-    avoid: Dart,
-) -> Option<Weight> {
+/// Dijkstra from `src` to `dst` over the bag graph's arcs, skipping the
+/// single arc tagged with the dart `avoid`.
+fn dijkstra_avoiding(graph: &BagGraph, src: usize, dst: usize, avoid: Dart) -> Option<Weight> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    let n = graph.len;
     let mut adj: Vec<Vec<(usize, Weight)>> = vec![Vec::new(); n];
-    for &(a, b, w, tag) in arcs {
+    for &(a, b, w, tag) in &graph.arcs {
         if tag == Some(avoid) {
             continue;
         }
@@ -291,15 +194,23 @@ mod tests {
     use duality_baselines::shortest_paths::Digraph;
     use duality_planar::gen;
 
-    fn solver(g: &PlanarGraph, weights: &[Weight]) -> PlanarSolver {
+    fn solver(g: &PlanarGraph, weights: &[Weight], threshold: Option<usize>) -> PlanarSolver {
         PlanarSolver::builder(g)
             .edge_weights(weights)
+            .with_leaf_threshold(threshold)
             .build()
             .unwrap()
     }
 
+    /// Checks the cut on a deep decomposition (leaf threshold 2) and at the
+    /// default threshold; returns the default-threshold report.
     fn check(g: &PlanarGraph, weights: &[Weight]) -> GlobalCutReport {
-        let r = solver(g, weights).global_min_cut().unwrap();
+        check_at(g, weights, Some(2));
+        check_at(g, weights, None)
+    }
+
+    fn check_at(g: &PlanarGraph, weights: &[Weight], threshold: Option<usize>) -> GlobalCutReport {
+        let r = solver(g, weights, threshold).global_min_cut().unwrap();
         // Against the centralized dual-cycle reference.
         assert_eq!(
             Some(r.value),
@@ -386,7 +297,7 @@ mod tests {
         // (Cannot build a 1-vertex connected PlanarGraph with edges, so use
         // the API contract directly on the smallest cycle.)
         let g = gen::cycle(3).unwrap();
-        assert!(solver(&g, &[1, 1, 1]).global_min_cut().is_ok());
+        assert!(solver(&g, &[1, 1, 1], None).global_min_cut().is_ok());
     }
 
     #[test]

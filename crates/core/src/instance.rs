@@ -24,13 +24,22 @@ use crate::error::DualityError;
 use duality_planar::{PlanarGraph, Weight};
 use std::sync::Arc;
 
+/// The largest capacity or weight total an instance over `graph` accepts,
+/// `2^59 / (num_darts + 1)`. A residual length is at most `c + λ`, with `λ`
+/// at most the total, and a dual path has at most `num_darts` arcs, so
+/// every dual distance stays below `INF / 2`, where the labeling starts to
+/// read a length as an absent dart.
+pub(crate) fn max_spec_total(graph: &PlanarGraph) -> Weight {
+    (1 << 59) / (graph.num_darts() as Weight + 1)
+}
+
 /// An owned, validated `(graph, capacities, weights)` bundle.
 ///
 /// Construction performs the **only** validation pass: vector lengths,
-/// non-negativity, and the capacities ↔ weights derivation (forward darts
-/// carry edge weights, reversal darts are free — the paper's `G'`
-/// convention). After [`PlanarInstance::new`] succeeds, no query
-/// re-validates the instance.
+/// non-negativity, totals of at most `2^59 / (num_darts + 1)`, and the
+/// capacities ↔ weights derivation (forward darts carry edge weights,
+/// reversal darts are free — the paper's `G'` convention). After
+/// [`PlanarInstance::new`] succeeds, no query re-validates the instance.
 ///
 /// # Example
 ///
@@ -69,7 +78,9 @@ impl PlanarInstance {
     /// [`DualityError::CapacityLengthMismatch`] /
     /// [`DualityError::WeightLengthMismatch`] on wrong vector lengths,
     /// [`DualityError::NegativeCapacity`] / [`DualityError::NegativeWeight`]
-    /// on negative entries, [`DualityError::MissingInput`] when neither
+    /// on negative entries, [`DualityError::CapacityTotalTooLarge`] /
+    /// [`DualityError::WeightTotalTooLarge`] on a total past
+    /// `2^59 / (num_darts + 1)`, [`DualityError::MissingInput`] when neither
     /// side was provided.
     pub fn new(
         graph: PlanarGraph,
@@ -133,7 +144,8 @@ impl PlanarInstance {
     /// # Errors
     ///
     /// [`DualityError::CapacityLengthMismatch`] /
-    /// [`DualityError::NegativeCapacity`] on an invalid vector.
+    /// [`DualityError::NegativeCapacity`] /
+    /// [`DualityError::CapacityTotalTooLarge`] on an invalid vector.
     pub fn with_capacities(&self, capacities: Vec<Weight>) -> Result<Arc<Self>, DualityError> {
         validate_capacities(&self.graph, &capacities)?;
         Ok(Arc::new(PlanarInstance {
@@ -152,7 +164,8 @@ impl PlanarInstance {
     /// # Errors
     ///
     /// [`DualityError::WeightLengthMismatch`] /
-    /// [`DualityError::NegativeWeight`] on an invalid vector.
+    /// [`DualityError::NegativeWeight`] /
+    /// [`DualityError::WeightTotalTooLarge`] on an invalid vector.
     pub fn with_edge_weights(&self, edge_weights: Vec<Weight>) -> Result<Arc<Self>, DualityError> {
         validate_weights(&self.graph, &edge_weights)?;
         Ok(Arc::new(PlanarInstance {
@@ -225,7 +238,7 @@ fn validate_capacities(graph: &PlanarGraph, caps: &[Weight]) -> Result<(), Duali
     if let Some(d) = caps.iter().position(|&c| c < 0) {
         return Err(DualityError::NegativeCapacity { dart: d });
     }
-    Ok(())
+    within_total(graph, caps).map_err(|limit| DualityError::CapacityTotalTooLarge { limit })
 }
 
 fn validate_weights(graph: &PlanarGraph, weights: &[Weight]) -> Result<(), DualityError> {
@@ -237,6 +250,17 @@ fn validate_weights(graph: &PlanarGraph, weights: &[Weight]) -> Result<(), Duali
     }
     if let Some(e) = weights.iter().position(|&x| x < 0) {
         return Err(DualityError::NegativeWeight { edge: e });
+    }
+    within_total(graph, weights).map_err(|limit| DualityError::WeightTotalTooLarge { limit })
+}
+
+/// `Err(limit)` if `values` sum past [`max_spec_total`] (summed in `i128`,
+/// so the check itself cannot overflow).
+fn within_total(graph: &PlanarGraph, values: &[Weight]) -> Result<(), Weight> {
+    let limit = max_spec_total(graph);
+    let total: i128 = values.iter().map(|&x| i128::from(x)).sum();
+    if total > i128::from(limit) {
+        return Err(limit);
     }
     Ok(())
 }
@@ -334,6 +358,62 @@ mod tests {
         assert_eq!(
             base.with_edge_weights(vec![-2; base.m()]).err(),
             Some(DualityError::NegativeWeight { edge: 0 })
+        );
+    }
+
+    #[test]
+    fn capacity_totals_past_the_limit_are_refused() {
+        // Two darts at i64::MAX: unchecked, the sum wraps and max flow
+        // 0 → 15 reads 0 where Dinic reads 12.
+        let g = gen::diag_grid(4, 4, 1).unwrap();
+        let limit = max_spec_total(&g);
+        let mut caps = gen::random_directed_capacities(g.num_edges(), 1, 9, 7);
+        caps[..2].fill(Weight::MAX);
+        let refused = Some(DualityError::CapacityTotalTooLarge { limit });
+        assert_eq!(
+            PlanarInstance::new(g.clone(), Some(caps.clone()), None).err(),
+            refused
+        );
+        let ones = vec![1; g.num_edges()];
+        let base = PlanarInstance::new(g, None, Some(ones)).unwrap();
+        assert_eq!(base.with_capacities(caps).err(), refused);
+    }
+
+    #[test]
+    fn weight_totals_past_the_limit_are_refused() {
+        // Five weights at i64::MAX / 4: unchecked, girth reads a negative
+        // value.
+        let g = gen::diag_grid(4, 4, 1).unwrap();
+        let limit = max_spec_total(&g);
+        let mut weights = gen::random_edge_weights(g.num_edges(), 1, 9, 3);
+        weights[..5].fill(Weight::MAX / 4);
+        let refused = Some(DualityError::WeightTotalTooLarge { limit });
+        assert_eq!(
+            PlanarInstance::new(g.clone(), None, Some(weights.clone())).err(),
+            refused
+        );
+        let ones = vec![1; g.num_edges()];
+        let base = PlanarInstance::new(g, None, Some(ones)).unwrap();
+        assert_eq!(base.with_edge_weights(weights).err(), refused);
+    }
+
+    #[test]
+    fn capacities_totalling_the_limit_are_accepted_and_exact() {
+        use duality_baselines::flow::planar_max_flow_reference;
+        let g = gen::diag_grid(4, 4, 1).unwrap();
+        let limit = max_spec_total(&g);
+        let base = gen::random_directed_capacities(g.num_edges(), 1, 9, 7);
+        let scale = limit / base.iter().sum::<Weight>();
+        let mut caps: Vec<Weight> = base.iter().map(|&c| c * scale).collect();
+        caps[0] += limit - caps.iter().sum::<Weight>();
+        assert_eq!(caps.iter().sum::<Weight>(), limit);
+        let solver = crate::PlanarSolver::builder(&g)
+            .capacities(&caps)
+            .build()
+            .unwrap();
+        assert_eq!(
+            solver.max_flow(0, 15).unwrap().value,
+            planar_max_flow_reference(&g, &caps, 0, 15)
         );
     }
 

@@ -80,9 +80,19 @@ pub fn smooth_distances_by_quantization(
     assert!(k >= 0);
     let quantized: Arcs = arcs
         .iter()
-        .map(|&(u, v, w)| (u, v, if k > 0 { w + w / k } else { w }))
+        .map(|&(u, v, w)| (u, v, quantize(w, k)))
         .collect();
     dijkstra(n, &quantized, source)
+}
+
+/// Rounds a weight up to `w + ⌊w/k⌋` (`k = 0`: unchanged), the
+/// quantization behind the `(1 + 1/k)`-smooth oracle.
+pub fn quantize(w: Weight, k: Weight) -> Weight {
+    if k > 0 {
+        w + w / k
+    } else {
+        w
+    }
 }
 
 /// A deliberately *non-smooth* `(1+α)`-approximation used by the tests to

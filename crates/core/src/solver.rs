@@ -150,6 +150,11 @@ impl<'g> SolverBuilder<'g> {
 /// bound can never drift from `Bdd::build`'s own clamp.
 pub const MIN_LEAF_THRESHOLD: usize = duality_bdd::MIN_LEAF_THRESHOLD;
 
+/// The largest `1/ε` the approximate queries accept; above it the
+/// oracle's `ε⁻²` round charge can overflow. A smaller, per-instance
+/// bound keeps Hassin's flow numerators within `i64`.
+pub(crate) const MAX_EPS_INVERSE: u64 = 1 << 16;
+
 /// Snapshot of the solver's build counters, for cache-reuse assertions.
 ///
 /// `engine_builds` and `dual_builds` live in the shared [`TopoSubstrate`],
@@ -1009,14 +1014,30 @@ impl PlanarSolver {
         Ok(())
     }
 
+    /// `1/ε` at most [`MAX_EPS_INVERSE`], and small enough that
+    /// `eps_inverse × (4 × capacity total + 2)`, the bound on Hassin's flow
+    /// numerators, stays within `i64`.
+    fn check_eps_inverse(&self, eps_inverse: u64) -> Result<(), DualityError> {
+        let total: i128 = self.capacities().iter().map(|&c| i128::from(c)).sum();
+        let numerators = i128::from(i64::MAX) / (4 * total + 2);
+        let limit = u64::try_from(numerators.min(i128::from(MAX_EPS_INVERSE)))
+            .expect("capacities are non-negative, so the limit is in 0..=2^16");
+        if eps_inverse > limit {
+            return Err(DualityError::EpsilonTooFine { eps_inverse, limit });
+        }
+        Ok(())
+    }
+
     /// The validation preamble of one query, with no substrate side
     /// effects: a query that fails it builds and bills nothing.
     fn precheck(&self, query: Query) -> Result<(), DualityError> {
         match query {
             Query::MaxFlow { s, t } | Query::MinStCut { s, t } => self.check_endpoints(s, t),
-            Query::ApproxMaxFlow { s, t, .. } | Query::ApproxMinStCut { s, t, .. } => {
+            Query::ApproxMaxFlow { s, t, eps_inverse }
+            | Query::ApproxMinStCut { s, t, eps_inverse } => {
                 self.check_endpoints(s, t)?;
-                self.check_undirected()
+                self.check_undirected()?;
+                self.check_eps_inverse(eps_inverse)
             }
             Query::GlobalMinCut => {
                 if self.graph().num_vertices() < 2 {
@@ -1101,8 +1122,9 @@ impl PlanarSolver {
     /// # Errors
     ///
     /// [`DualityError::BadEndpoints`], [`DualityError::NotUndirected`] on
-    /// asymmetric capacities, [`DualityError::NotStPlanar`] when `s`, `t`
-    /// share no face.
+    /// asymmetric capacities, [`DualityError::EpsilonTooFine`] when
+    /// `eps_inverse` is past `2^16` or the instance's own bound,
+    /// [`DualityError::NotStPlanar`] when `s`, `t` share no face.
     pub fn approx_max_flow(
         &self,
         s: usize,

@@ -18,7 +18,7 @@
 use crate::error::DualityError;
 use duality_congest::{CostLedger, CostModel};
 use duality_labeling::DualSsspEngine;
-use duality_planar::{dual::DualView, Dart, PlanarGraph, Weight};
+use duality_planar::{Dart, PlanarGraph, Weight};
 use std::sync::Arc;
 
 /// The exact-cut pipeline proper: max-flow, then residual reachability
@@ -74,53 +74,19 @@ pub(crate) fn run_approx_cut(
     // Reuse the Hassin pipeline for validation of the inputs and charging.
     let approx = crate::approx_flow::run_approx_flow(g, cm, caps, s, t, eps_inverse, ledger)?;
 
-    // Rebuild the augmented dual and extract the shortest f1 → f2 path
-    // under the quantized lengths (the distributed algorithm marks the
-    // already-computed SSSP tree path; one aggregation).
+    // The shortest f1 → f2 path under the quantized lengths is a path of
+    // the SSSP tree Hassin's pipeline already computed: the distributed
+    // algorithm marks it (one aggregation), and we walk the parents back
+    // from f2; the path darts' primal edges are the cut.
     ledger.charge("reif-mark-cycle", cm.dual_part_wise_aggregation());
-    let face = g
-        .faces()
-        .find(|&f| {
-            let mut has_s = false;
-            let mut has_t = false;
-            for &d in g.face_darts(f) {
-                has_s |= g.tail(d) == s;
-                has_t |= g.tail(d) == t;
-            }
-            has_s && has_t
-        })
-        .expect("validated by the flow call");
-    let aug = g.insert_edge_in_face(t, s, face).expect("validated");
-    let new_edge = g.num_edges();
-    let k = eps_inverse as Weight;
-    // The (1+1/k)-smooth oracle's quantization — see `crate::smoothing`
-    // for the standalone, property-tested form.
-    let quantize = |c: Weight| if k > 0 { c + c / k } else { c };
-    let big: Weight = (0..g.num_edges())
-        .map(|e| quantize(caps[2 * e]))
-        .sum::<Weight>()
-        + 1;
-    let mut lengths = vec![0; aug.num_darts()];
-    for e in 0..g.num_edges() {
-        lengths[2 * e] = quantize(caps[2 * e]);
-        lengths[2 * e + 1] = quantize(caps[2 * e + 1]);
-    }
-    lengths[2 * new_edge] = big;
-    lengths[2 * new_edge + 1] = big;
-    let dual = DualView::new(&aug, &lengths, |_| true);
-    let (dist, parent) = dual.dijkstra(approx.f1);
-    debug_assert!(dist[approx.f2.index()] < big);
-
-    // Walk the parents back from f2; the path darts' primal edges are the
-    // cut.
     let mut cut_edges = Vec::new();
     let mut value = 0;
     let mut cur = approx.f2;
     while cur != approx.f1 {
-        let d = parent[cur.index()].expect("f2 reachable");
+        let d = approx.parent[cur.index()].expect("f2 reachable");
         cut_edges.push(d.edge());
         value += caps[d.index()]; // true (unquantized) capacity
-        cur = aug.face_of(d);
+        cur = approx.aug.face_of(d);
     }
     cut_edges.sort_unstable();
     cut_edges.dedup();

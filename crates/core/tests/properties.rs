@@ -89,17 +89,24 @@ proptest! {
     }
 
     /// Directed global min cut equals the centralized dual-cycle reference
-    /// and its bisection pays exactly the reported weight.
+    /// and its bisection pays exactly the reported weight, at the default
+    /// leaf threshold and on deeper decompositions.
     #[test]
     fn global_cut_matches_reference(
         w in 3usize..6,
         h in 3usize..5,
         seed in 0u64..10_000,
         wmax in 1i64..20,
+        threshold in 0usize..4,
     ) {
         let g = gen::diag_grid(w, h, seed).unwrap();
         let weights = gen::random_edge_weights(g.num_edges(), 0, wmax, seed + 5);
-        let r = with_weights(&g, &weights).global_min_cut().unwrap();
+        let solver = PlanarSolver::builder(&g)
+            .edge_weights(&weights)
+            .with_leaf_threshold([None, Some(2), Some(4), Some(8)][threshold])
+            .build()
+            .unwrap();
+        let r = solver.global_min_cut().unwrap();
         prop_assert_eq!(Some(r.value), planar_directed_min_cut_reference(&g, &weights));
         let mut caps = vec![0; g.num_darts()];
         for (e, &x) in weights.iter().enumerate() {

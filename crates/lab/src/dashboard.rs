@@ -12,9 +12,11 @@
 //!   SVG sparklines tracing the headline metrics (throughput, p99,
 //!   sustainable rate, scaling efficiency) across the rows;
 //! * the telemetry section surfaces the pool memory gauges
-//!   (resident / peak / evicted bytes), the substrate phase profile as
-//!   an inline SVG bar chart, and the per-tenant attribution table —
-//!   who ran what, who waited, whose p99 pins the fleet.
+//!   (resident / peak / evicted bytes), the attributed span count and
+//!   the per-tenant job table — who ran what, and how it ended. It shows
+//!   no wall-clock figure, so one checkout regenerates the page byte for
+//!   byte; per-phase build µs stay in S10's committed rows, and
+//!   per-tenant p99 in [`TelemetrySnapshot`].
 
 use crate::envelope::Envelope;
 use duality_telemetry::TelemetrySnapshot;
@@ -44,12 +46,14 @@ pub fn render_dashboard(envelopes: &[Envelope], telemetry: Option<&TelemetrySnap
          .gauge{display:inline-block;margin-right:2rem;padding:.5rem .75rem;\
          border:1px solid #d5d5cc;border-radius:4px;background:#fff}\n\
          .gauge b{display:block;font-size:1.2rem}\n\
-         .bar{fill:#4a6fa5}\n.line{fill:none;stroke:#4a6fa5;stroke-width:1.5}\n\
+         .line{fill:none;stroke:#4a6fa5;stroke-width:1.5}\n\
          caption{text-align:left;font-weight:600;padding:.25rem 0}\n\
          </style>\n</head>\n<body>\n<h1>duality fleet dashboard</h1>\n\
          <p>Rendered by <code>experiments dashboard</code> from the committed\n\
-         <code>BENCH_*.json</code> envelopes and a live telemetry snapshot.\n\
-         Self-contained: no external assets. Do not edit by hand.</p>\n",
+         <code>BENCH_*.json</code> envelopes and the counts of a fixed\n\
+         in-process fleet burst, with no wall-clock figure, so it\n\
+         regenerates byte for byte. Self-contained: no external assets.\n\
+         Do not edit by hand.</p>\n",
     );
     if let Some(snap) = telemetry {
         render_telemetry(&mut out, snap);
@@ -78,26 +82,19 @@ fn render_telemetry(out: &mut String, snap: &TelemetrySnapshot) {
         snap.spans, snap.dropped
     ));
 
-    if !snap.phase_us.is_empty() {
-        out.push_str("<h3>Substrate build profile</h3>\n");
-        out.push_str(&phase_bars(&snap.phase_us));
-    }
-
     if !snap.tenants.is_empty() {
         out.push_str(
             "<h3>Per-tenant attribution</h3>\n<table>\n<tr><th>tenant</th>\
-             <th>completed</th><th>failed</th><th>cancelled</th><th>expired</th>\
-             <th>p99 µs</th></tr>\n",
+             <th>completed</th><th>failed</th><th>cancelled</th><th>expired</th></tr>\n",
         );
         for t in &snap.tenants {
             out.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
+                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
                 escape(&t.label()),
                 t.stats.completed,
                 t.stats.failed,
                 t.stats.cancelled,
                 t.stats.expired,
-                t.p99_total_us().map_or("—".to_string(), |p| p.to_string())
             ));
         }
         out.push_str("</table>\n");
@@ -186,39 +183,6 @@ fn sparkline(values: &[f64]) -> String {
     )
 }
 
-/// An inline SVG horizontal bar chart of the phase µs profile.
-fn phase_bars(phases: &[(String, u64)]) -> String {
-    let max = phases.iter().map(|(_, us)| *us).max().unwrap_or(1).max(1);
-    let (bar_w, row_h, label_w) = (360.0, 20.0, 110.0);
-    let height = row_h * phases.len() as f64 + 4.0;
-    let mut out = format!(
-        "<svg width=\"{:.0}\" height=\"{height:.0}\" viewBox=\"0 0 {:.0} {height:.0}\" \
-         role=\"img\">\n",
-        label_w + bar_w + 90.0,
-        label_w + bar_w + 90.0
-    );
-    for (i, (phase, us)) in phases.iter().enumerate() {
-        let y = 2.0 + row_h * i as f64;
-        let w = bar_w * (*us as f64) / max as f64;
-        out.push_str(&format!(
-            "<text x=\"{:.0}\" y=\"{:.0}\" text-anchor=\"end\" font-size=\"12\">{}</text>\n\
-             <rect class=\"bar\" x=\"{:.0}\" y=\"{:.0}\" width=\"{:.1}\" height=\"{:.0}\"/>\n\
-             <text x=\"{:.1}\" y=\"{:.0}\" font-size=\"12\">{us}µs</text>\n",
-            label_w - 6.0,
-            y + row_h - 6.0,
-            escape(phase),
-            label_w,
-            y + 3.0,
-            w.max(1.0),
-            row_h - 7.0,
-            label_w + w.max(1.0) + 6.0,
-            y + row_h - 6.0,
-        ));
-    }
-    out.push_str("</svg>\n");
-    out
-}
-
 fn fmt_value(v: f64) -> String {
     if !v.is_finite() {
         "—".to_string()
@@ -299,32 +263,35 @@ mod tests {
     }
 
     #[test]
-    fn the_telemetry_section_carries_gauges_phases_and_tenants() {
+    fn the_telemetry_section_carries_gauges_and_tenants_reproducibly() {
         use duality_core::Query;
         use duality_planar::gen;
         use duality_service::ServiceEngine;
         use duality_telemetry::Telemetry;
 
-        let telemetry = Telemetry::new(64);
-        let engine = ServiceEngine::builder()
-            .workers(1)
-            .span_sink(telemetry.sink())
-            .build()
-            .unwrap();
-        let g = gen::diag_grid(4, 4, 7).unwrap();
-        let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, 7);
-        let i = duality_core::PlanarInstance::new(g, Some(caps), None).unwrap();
-        telemetry.name_tenant(&i, "alpha");
-        engine.run(&i, Query::Girth).unwrap();
-        let m = engine.shutdown();
-        telemetry.set_pool_bytes(m.pool_total().bytes);
-        let snap = telemetry.snapshot();
+        let render = || {
+            let telemetry = Telemetry::new(64);
+            let engine = ServiceEngine::builder()
+                .workers(1)
+                .span_sink(telemetry.sink())
+                .build()
+                .unwrap();
+            let g = gen::diag_grid(4, 4, 7).unwrap();
+            let caps = gen::random_undirected_capacities(g.num_edges(), 1, 9, 7);
+            let i = duality_core::PlanarInstance::new(g, Some(caps), None).unwrap();
+            telemetry.name_tenant(&i, "alpha");
+            engine.run(&i, Query::Girth).unwrap();
+            let m = engine.shutdown();
+            telemetry.set_pool_bytes(m.pool_total().bytes);
+            render_dashboard(&[], Some(&telemetry.snapshot()))
+        };
 
-        let html = render_dashboard(&[], Some(&snap));
+        let html = render();
         assert!(html.contains("pool resident"));
-        assert!(html.contains("Substrate build profile"));
-        assert!(html.contains("embed"), "phase bars name the phases");
+        assert!(html.contains("spans attributed"));
         assert!(html.contains("alpha"), "tenant table uses registered names");
         assert!(!html.contains("<script"));
+        assert!(!html.contains("µs"), "no wall-clock figure");
+        assert_eq!(html, render(), "a second burst renders the same page");
     }
 }

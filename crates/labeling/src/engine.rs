@@ -74,8 +74,9 @@ pub struct DualSsspEngine {
     /// For non-leaf bags: which child (index into `children`) wholly
     /// contains each non-`F_X` node.
     child_of_node: Vec<HashMap<FaceId, usize>>,
-    /// `S_X` dual arcs per non-leaf bag: `(from_face, to_face, dart)`.
-    separator_arcs: Vec<Vec<(FaceId, FaceId, Dart)>>,
+    /// `S_X` dual arcs per non-leaf bag: `(from, to, dart)`, with both
+    /// ends as indices into `fx[bag]`.
+    separator_arcs: Vec<Vec<(usize, usize, Dart)>>,
     cm: CostModel,
 }
 
@@ -114,13 +115,10 @@ impl DualSsspEngine {
             fx[bag.id] = f;
             // Node → wholly-containing child; separator arcs.
             let locus = dual_bags::classify_dual_edges(&bdd, bag);
+            let k = |node: usize| fx_index[bag.id][&dual.nodes[node]];
             for arc in &dual.arcs {
                 if locus[&arc.dart.edge()] == dual_bags::EdgeLocus::Separator {
-                    separator_arcs[bag.id].push((
-                        dual.nodes[arc.from],
-                        dual.nodes[arc.to],
-                        arc.dart,
-                    ));
+                    separator_arcs[bag.id].push((k(arc.from), k(arc.to), arc.dart));
                 }
             }
             for &node in &dual.nodes {
@@ -154,12 +152,6 @@ impl DualSsspEngine {
         &self.cm
     }
 
-    /// The `S_X` dual arcs of a bag: `(from_face, to_face, dart)` per
-    /// separator-classified dual edge (empty for leaves).
-    pub fn separator_arcs(&self, bag: usize) -> &[(FaceId, FaceId, Dart)] {
-        &self.separator_arcs[bag]
-    }
-
     /// Computes distance labels for the dual graph under the per-dart
     /// lengths `lengths` (use `>= INF/2` to mark a dart as absent).
     ///
@@ -189,16 +181,15 @@ impl DualSsspEngine {
         for level in (0..self.bdd.depth()).rev() {
             let mut level_cost: u64 = 0;
             for &bid in &self.bdd.levels[level] {
+                let graph = self.bag_graph(bid, lengths, &store);
+                let Some(dist) = apsp(&graph) else {
+                    ledger.charge("neg-cycle-abort", self.cm.bfs(self.cm.d));
+                    return Err(LabelingError::NegativeCycle { bag: bid });
+                };
                 let words = if self.bdd.bags[bid].is_leaf() {
-                    self.label_leaf(bid, lengths, &mut store)
-                        .inspect_err(|_e| {
-                            ledger.charge("neg-cycle-abort", self.cm.bfs(self.cm.d));
-                        })?
+                    self.label_leaf(bid, &dist, &mut store)
                 } else {
-                    self.label_internal(bid, lengths, &mut store)
-                        .inspect_err(|_e| {
-                            ledger.charge("neg-cycle-abort", self.cm.bfs(self.cm.d));
-                        })?
+                    self.label_internal(bid, &graph, &dist, &mut store)
                 };
                 let cost = self.cm.broadcast(self.bdd.bags[bid].bfs_depth, words);
                 level_cost = level_cost.max(2 * cost);
@@ -211,188 +202,159 @@ impl DualSsspEngine {
         })
     }
 
-    /// Leaf bag: collect the whole dual bag, Floyd–Warshall APSP locally.
-    /// Returns the number of words broadcast (node ids + arcs).
-    fn label_leaf(
-        &self,
-        bid: usize,
-        lengths: &[Weight],
-        store: &mut LabelStore,
-    ) -> Result<u64, LabelingError> {
-        let dual = &self.duals[bid];
-        let n = dual.len();
-        let mut dist = vec![vec![INF; n]; n];
-        for (i, row) in dist.iter_mut().enumerate() {
-            row[i] = 0;
-        }
-        for arc in &dual.arcs {
-            let w = lengths[arc.dart.index()];
-            if w >= INF / 2 {
-                continue;
-            }
-            if w < dist[arc.from][arc.to] {
-                dist[arc.from][arc.to] = w;
-            }
-        }
-        floyd_warshall_in_place(&mut dist);
-        for i in 0..n {
-            if dist[i][i] < 0 {
-                return Err(LabelingError::NegativeCycle { bag: bid });
-            }
-        }
-        for (i, &f) in dual.nodes.iter().enumerate() {
-            let row: Vec<Weight> = (0..n).map(|j| dist[i][j]).collect();
-            let col: Vec<Weight> = (0..n).map(|j| dist[j][i]).collect();
-            store.label_words[bid].insert(f, 2 * n as u64 + 1);
-            store.leaf_apsp[bid].insert(f, (row, col));
-        }
-        Ok(self.bdd.bags[bid].edges.len() as u64 + 2 * dual.arcs.len() as u64)
-    }
-
-    /// Non-leaf bag: assemble the DDG from child labels + `S_X` dual arcs +
-    /// zero links, Floyd–Warshall on it, then derive every node's distances
-    /// to/from `F_X`. Returns the number of words broadcast.
-    fn label_internal(
-        &self,
-        bid: usize,
-        lengths: &[Weight],
-        store: &mut LabelStore,
-    ) -> Result<u64, LabelingError> {
+    /// The graph bag `bid` labels from, at `lengths` (see [`BagGraph`]). A
+    /// non-leaf bag reads its children's labels from `store`.
+    fn bag_graph(&self, bid: usize, lengths: &[Weight], store: &LabelStore) -> BagGraph {
         let bag = &self.bdd.bags[bid];
-        let dual = &self.duals[bid];
-        let fx = &self.fx[bid];
-        let nf = fx.len();
+        let present = |dart: Dart| {
+            let w = lengths[dart.index()];
+            (w < INF / 2).then_some(w)
+        };
+        if bag.is_leaf() {
+            let dual = &self.duals[bid];
+            let arcs = dual
+                .arcs
+                .iter()
+                .filter_map(|a| Some((a.from, a.to, present(a.dart)?, Some(a.dart))))
+                .collect();
+            return BagGraph {
+                len: dual.len(),
+                arcs,
+                parts: Vec::new(),
+                reps: Vec::new(),
+            };
+        }
 
-        // DDG nodes: one per (child, F_X face present in that child's
-        // dual); faces absent from every child get an orphan node.
-        let mut h_nodes: Vec<(usize, FaceId)> = Vec::new(); // (child or usize::MAX, face)
-        let mut h_of: HashMap<(usize, FaceId), usize> = HashMap::new();
-        let mut rep: HashMap<FaceId, usize> = HashMap::new(); // canonical H node per face
-        for &f in fx {
-            let mut found = false;
+        // Nodes: one part per (child, F_X face present in that child's
+        // dual), the parts of a face consecutive; a face absent from every
+        // child gets an orphan part.
+        let mut parts: Vec<(usize, FaceId)> = Vec::new();
+        let mut reps = Vec::with_capacity(self.fx[bid].len());
+        for &f in &self.fx[bid] {
+            let first = parts.len();
+            reps.push(first);
             for (ci, &c) in bag.children.iter().enumerate() {
                 if self.duals[c].node_index.contains_key(&f) {
-                    let id = h_nodes.len();
-                    h_nodes.push((ci, f));
-                    h_of.insert((ci, f), id);
-                    rep.entry(f).or_insert(id);
-                    found = true;
+                    parts.push((ci, f));
                 }
             }
-            if !found {
-                let id = h_nodes.len();
-                h_nodes.push((usize::MAX, f));
-                h_of.insert((usize::MAX, f), id);
-                rep.insert(f, id);
+            if parts.len() == first {
+                parts.push((usize::MAX, f));
             }
         }
-        let hn = h_nodes.len();
-        let mut h = vec![vec![INF; hn]; hn];
-        for (i, row) in h.iter_mut().enumerate() {
-            row[i] = 0;
-        }
-        let relax = |m: &mut Vec<Vec<Weight>>, a: usize, b: usize, w: Weight| {
-            if w < m[a][b] {
-                m[a][b] = w;
-            }
-        };
-
+        let mut arcs = Vec::new();
         // (a) Per-child cliques of label-decoded distances.
-        for (i, &(ci, f)) in h_nodes.iter().enumerate() {
+        for (i, &(ci, f)) in parts.iter().enumerate() {
             if ci == usize::MAX {
                 continue;
             }
             let child = bag.children[ci];
-            for (j, &(cj, g)) in h_nodes.iter().enumerate() {
+            for (j, &(cj, g)) in parts.iter().enumerate() {
                 if cj != ci || i == j {
                     continue;
                 }
                 let w = self.decode_at(child, f, g, store);
                 if w < INF / 2 {
-                    relax(&mut h, i, j, w);
+                    arcs.push((i, j, w, None));
                 }
             }
         }
-        // (b) S_X dual arcs.
+        // (b) S_X dual arcs, at the representative part of each end face.
         for &(from, to, dart) in &self.separator_arcs[bid] {
-            let w = lengths[dart.index()];
-            if w >= INF / 2 {
-                continue;
+            if let Some(w) = present(dart) {
+                arcs.push((reps[from], reps[to], w, Some(dart)));
             }
-            relax(&mut h, rep[&from], rep[&to], w);
         }
-        // (c) Zero links among the parts of the same face.
-        for &f in fx {
-            let parts: Vec<usize> = (0..bag.children.len())
-                .filter_map(|ci| h_of.get(&(ci, f)).copied())
-                .collect();
-            for &a in &parts {
-                for &b in &parts {
+        // (c) Zero links among the parts of the same face. They join every
+        // two parts both ways at no cost, so attaching (b) at one part per
+        // face suffices.
+        for (k, &first) in reps.iter().enumerate() {
+            let end = reps.get(k + 1).copied().unwrap_or(parts.len());
+            for a in first..end {
+                for b in first..end {
                     if a != b {
-                        relax(&mut h, a, b, 0);
+                        arcs.push((a, b, 0, None));
                     }
                 }
             }
         }
-        // The S_X arcs of (b) attach to one representative part per face.
-        // That suffices: the zero links of (c) join every two parts of a
-        // face both ways, so each part reaches the representative and back
-        // at no cost, and a path through an S_X arc has the same length
-        // whichever part of its end faces it uses.
-        floyd_warshall_in_place(&mut h);
-        for i in 0..hn {
-            if h[i][i] < 0 {
-                return Err(LabelingError::NegativeCycle { bag: bid });
-            }
+        BagGraph {
+            len: parts.len(),
+            arcs,
+            parts,
+            reps,
         }
+    }
 
-        // Distances between F_X faces (via representatives; the zero links
-        // make every part equivalent).
-        let d_fx = |h: &Vec<Vec<Weight>>, f: FaceId, g: FaceId| -> Weight { h[rep[&f]][rep[&g]] };
+    /// Leaf bag: every node keeps its row and column of the bag's APSP
+    /// matrix `dist`. Returns the number of words broadcast (node ids +
+    /// arcs).
+    fn label_leaf(&self, bid: usize, dist: &[Vec<Weight>], store: &mut LabelStore) -> u64 {
+        let dual = &self.duals[bid];
+        let n = dual.len();
+        for (i, &f) in dual.nodes.iter().enumerate() {
+            let col: Vec<Weight> = dist.iter().map(|row| row[i]).collect();
+            store.label_words[bid].insert(f, 2 * n as u64 + 1);
+            store.leaf_apsp[bid].insert(f, (dist[i].clone(), col));
+        }
+        self.bdd.bags[bid].edges.len() as u64 + 2 * dual.arcs.len() as u64
+    }
+
+    /// Non-leaf bag: derive every node's distances to/from `F_X` from the
+    /// APSP matrix `h` of the bag's DDG `graph`. Returns the number of
+    /// words broadcast.
+    fn label_internal(
+        &self,
+        bid: usize,
+        graph: &BagGraph,
+        h: &[Vec<Weight>],
+        store: &mut LabelStore,
+    ) -> u64 {
+        let bag = &self.bdd.bags[bid];
+        let fx = &self.fx[bid];
+        let nf = fx.len();
+        let reps = &graph.reps;
 
         // Labels for every node of X*.
-        for &node in &dual.nodes {
-            let (to, from) = if self.fx_index[bid].contains_key(&node) {
-                let to: Vec<Weight> = fx.iter().map(|&f| d_fx(&h, node, f)).collect();
-                let from: Vec<Weight> = fx.iter().map(|&f| d_fx(&h, f, node)).collect();
-                (to, from)
+        for &node in &self.duals[bid].nodes {
+            let (to, from, child_words) = if let Some(&k) = self.fx_index[bid].get(&node) {
+                // An F_X face: via representatives (the zero links make
+                // every part equivalent).
+                let r = reps[k];
+                let to: Vec<Weight> = reps.iter().map(|&q| h[r][q]).collect();
+                let from: Vec<Weight> = reps.iter().map(|&q| h[q][r]).collect();
+                (to, from, 0)
             } else {
                 let ci = self.child_of_node[bid][&node];
                 let child = bag.children[ci];
                 // F_X parts living in this child.
-                let parts: Vec<(usize, FaceId)> = h_nodes
+                let parts: Vec<(usize, FaceId)> = graph
+                    .parts
                     .iter()
-                    .filter(|&&(c, _)| c == ci)
-                    .map(|&(_, f)| f)
-                    .map(|f| (h_of[&(ci, f)], f))
+                    .enumerate()
+                    .filter(|&(_, &(c, _))| c == ci)
+                    .map(|(hid, &(_, p))| (hid, p))
                     .collect();
                 let mut to = vec![INF; nf];
                 let mut from = vec![INF; nf];
-                for (k, &f) in fx.iter().enumerate() {
+                for (k, &rf) in reps.iter().enumerate() {
                     let mut best_to = INF;
                     let mut best_from = INF;
                     for &(hid, p) in &parts {
                         let g2p = self.decode_at(child, node, p, store);
-                        if g2p < INF / 2 && h[hid][rep[&f]] < INF / 2 {
-                            best_to = best_to.min(g2p + h[hid][rep[&f]]);
+                        if g2p < INF / 2 && h[hid][rf] < INF / 2 {
+                            best_to = best_to.min(g2p + h[hid][rf]);
                         }
                         let p2g = self.decode_at(child, p, node, store);
-                        if p2g < INF / 2 && h[rep[&f]][hid] < INF / 2 {
-                            best_from = best_from.min(h[rep[&f]][hid] + p2g);
+                        if p2g < INF / 2 && h[rf][hid] < INF / 2 {
+                            best_from = best_from.min(h[rf][hid] + p2g);
                         }
                     }
                     to[k] = best_to;
                     from[k] = best_from;
                 }
-                (to, from)
-            };
-            let child_words: u64 = if let Some(&ci) = self.child_of_node[bid].get(&node) {
-                store.label_words[bag.children[ci]]
-                    .get(&node)
-                    .copied()
-                    .unwrap_or(0)
-            } else {
-                0
+                let child_words = store.label_words[child].get(&node).copied();
+                (to, from, child_words.unwrap_or(0))
             };
             store.label_words[bid].insert(node, 2 * nf as u64 + 1 + child_words);
             store.to_fx[bid].insert(node, to);
@@ -409,7 +371,7 @@ impl DualSsspEngine {
                 }
             }
         }
-        Ok(words)
+        words
     }
 
     /// Decodes `dist(f → h)` within bag `bid` from the labels stored so far
@@ -443,6 +405,48 @@ impl DualSsspEngine {
         }
         best
     }
+}
+
+/// The graph one bag labels from.
+///
+/// A leaf bag's graph is its dual bag: node `i` is `duals[bag].nodes[i]`,
+/// and every arc is a dual dart. A non-leaf bag's graph is its dense
+/// distance graph (DDG, Section 5.3): one node per part, that is per
+/// (child, `F_X` face) pair with the face in the child's dual, and one
+/// orphan node per `F_X` face absent from every child. Its arcs are the
+/// per-child cliques of label-decoded distances, the `S_X` dual arcs at
+/// each face's first part, and zero links among the parts of a face.
+#[derive(Debug)]
+pub struct BagGraph {
+    /// Number of nodes.
+    pub len: usize,
+    /// Arcs `(from, to, length, dart)`. Leaf dual arcs and `S_X` arcs
+    /// carry their dart; clique arcs and zero links carry `None`. A dart
+    /// of length `>= INF/2` (absent) adds no arc.
+    pub arcs: Vec<(usize, usize, Weight, Option<Dart>)>,
+    /// Non-leaf bags: `(child index, face)` per node (`usize::MAX` for an
+    /// orphan), the parts of one `F_X` face consecutive.
+    parts: Vec<(usize, FaceId)>,
+    /// Non-leaf bags: the node representing each face of `fx[bag]`, its
+    /// first part.
+    reps: Vec<usize>,
+}
+
+/// All-pairs distances of `graph` by Floyd–Warshall, or `None` if it has
+/// a negative cycle.
+fn apsp(graph: &BagGraph) -> Option<Vec<Vec<Weight>>> {
+    let n = graph.len;
+    let mut dist = vec![vec![INF; n]; n];
+    for (i, row) in dist.iter_mut().enumerate() {
+        row[i] = 0;
+    }
+    for &(a, b, w, _) in &graph.arcs {
+        if w < dist[a][b] {
+            dist[a][b] = w;
+        }
+    }
+    floyd_warshall_in_place(&mut dist);
+    (0..n).all(|i| dist[i][i] >= 0).then_some(dist)
 }
 
 /// One APSP row/column pair of a leaf bag's matrix.
@@ -481,13 +485,17 @@ impl DualLabels {
         (d < INF / 2).then_some(d)
     }
 
-    /// Decodes the distance from `f` to `h` *within bag `bag`'s dual*
-    /// (both faces must be nodes of that dual bag). Used by the directed
-    /// global-min-cut recursion (Section 7), which runs its per-dart cycle
-    /// search on the same per-bag DDGs the labels were built from.
-    pub fn decode_in_bag(&self, bag: usize, f: FaceId, h: FaceId) -> Option<Weight> {
-        let d = self.engine.decode_at(bag, f, h, &self.store);
-        (d < INF / 2).then_some(d)
+    /// The graph bag `bag` was labeled from (see [`BagGraph`]), rebuilt
+    /// from these labels at `lengths`, which must be the lengths the
+    /// labels were computed at. The directed global min cut (Section 7)
+    /// runs its per-dart cycle search on these graphs.
+    pub fn bag_graph(&self, bag: usize, lengths: &[Weight]) -> BagGraph {
+        assert_eq!(
+            lengths.len(),
+            self.engine.graph.num_darts(),
+            "one length per dart"
+        );
+        self.engine.bag_graph(bag, lengths, &self.store)
     }
 
     /// The label size of face `f` in `O(log n)`-bit words (Lemma 5.17:

@@ -14,6 +14,10 @@
 //!   zero-weight links joining the parts of a shattered face — from which
 //!   the label distances to `F_X` follow (Section 5.3).
 //!
+//! One builder assembles each bag's graph, a leaf's dual arcs or a
+//! non-leaf bag's DDG, and the same per-bag graph serves the directed
+//! global-min-cut scan of Section 7 through [`DualLabels::bag_graph`].
+//!
 //! Negative edge lengths are supported throughout (the Miller–Naor flow
 //! reduction needs them); a negative cycle is detected at the leafmost bag
 //! containing it (Lemma 5.19) and reported as an error.
@@ -27,4 +31,4 @@
 mod engine;
 pub mod sssp;
 
-pub use engine::{DualLabels, DualSsspEngine, LabelingError};
+pub use engine::{BagGraph, DualLabels, DualSsspEngine, LabelingError};
