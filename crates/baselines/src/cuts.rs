@@ -1,47 +1,84 @@
-//! Centralized cut references: Stoer–Wagner (undirected global min cut),
-//! brute-force directed global min cut, and the min *dart-simple* directed
-//! dual cycle used to validate the distributed directed-global-min-cut
-//! algorithm.
+//! Centralized cut references: Stoer–Wagner (undirected global min cut,
+//! sparse maximum-adjacency phases), brute-force directed global min cut,
+//! and the min *dart-simple* directed dual cycle used to validate the
+//! distributed directed-global-min-cut algorithm.
 
 use crate::shortest_paths::Digraph;
 use duality_planar::{Dart, PlanarGraph, Weight, INF};
 
-/// Stoer–Wagner minimum cut of an undirected weighted graph given as a
-/// symmetric weight matrix (`w[u][v] == w[v][u]`, zero diagonal). Returns
-/// `(cut_weight, side)` where `side[v]` is true for one shore.
+/// Stoer–Wagner minimum cut of an undirected weighted multigraph on
+/// vertices `0..n`, given as an edge list `(u, v, weight)` with
+/// non-negative weights (parallel edges add up; self-loops cross no cut).
+/// Returns `(cut_weight, side)` where `side[v]` is true for one shore.
+///
+/// Each maximum-adjacency phase grows a set `A` one vertex at a time on
+/// per-vertex adjacency lists, keeping the vertices that touch `A` in an
+/// indexed max-heap, and contracting the phase's last vertex `t` into the
+/// one before it, `s`, merges `t`'s neighbours into `s`'s: `O(n·m log n)`
+/// time and `O(n + m)` memory for `m` edges, with no `n × n` matrix. The
+/// result is deterministic: every phase starts at the largest live index,
+/// the next vertex is the one with the largest weight to `A` (ties to the
+/// largest index), `t` merges into `s`, and the best cut changes only on a
+/// strictly smaller cut of the phase.
 ///
 /// # Panics
 ///
-/// Panics if the graph has fewer than 2 vertices.
-pub fn stoer_wagner(w: &[Vec<Weight>]) -> (Weight, Vec<bool>) {
-    let n = w.len();
+/// Panics if the graph has fewer than 2 vertices or a negative weight.
+pub fn stoer_wagner(n: usize, edges: &[(usize, usize, Weight)]) -> (Weight, Vec<bool>) {
     assert!(n >= 2, "min cut needs at least two vertices");
-    let mut w = w.to_vec();
+    // `adj[v]`: one `(neighbour, total weight)` per neighbour of the live
+    // super-vertex `v`; `slot` is all `usize::MAX` between uses.
+    let mut adj: Vec<Vec<(usize, Weight)>> = vec![Vec::new(); n];
+    let mut slot = vec![usize::MAX; n];
+    for &(u, v, w) in edges {
+        assert!(w >= 0, "Stoer–Wagner needs non-negative weights");
+        if u != v {
+            adj[u].push((v, w));
+            adj[v].push((u, w));
+        }
+    }
+    for list in &mut adj {
+        sum_parallel(list, &mut slot);
+    }
     // `members[i]` = original vertices merged into super-vertex i.
     let mut members: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
-    let mut active: Vec<usize> = (0..n).collect();
+    let mut live: Vec<usize> = (0..n).collect();
+    let mut in_a = vec![false; n];
+    let mut weight_to_a = vec![0 as Weight; n];
+    // The vertices outside `A` with a positive weight to `A`.
+    let mut touching = MaxHeap::new(n);
     let mut best = (INF, Vec::new());
-    while active.len() > 1 {
+    while live.len() > 1 {
         // Maximum adjacency (minimum cut phase).
-        let mut in_a = vec![false; n];
-        let mut weight_to_a = vec![0 as Weight; n];
-        let mut order = Vec::with_capacity(active.len());
-        for _ in 0..active.len() {
-            let &next = active
-                .iter()
-                .filter(|&&v| !in_a[v])
-                .max_by_key(|&&v| weight_to_a[v])
-                .expect("active vertex remains");
+        for &v in &live {
+            in_a[v] = false;
+            weight_to_a[v] = 0;
+        }
+        // `live[cursor..]` are all in `A`.
+        let mut cursor = live.len();
+        let (mut s, mut t) = (usize::MAX, usize::MAX);
+        for _ in 0..live.len() {
+            let next = match touching.pop(&weight_to_a) {
+                Some(v) => v,
+                None => {
+                    // Every weight to `A` is 0: take the largest live
+                    // index outside `A`.
+                    cursor -= 1;
+                    while in_a[live[cursor]] {
+                        cursor -= 1;
+                    }
+                    live[cursor]
+                }
+            };
             in_a[next] = true;
-            order.push(next);
-            for &v in &active {
-                if !in_a[v] {
-                    weight_to_a[v] += w[next][v];
+            (s, t) = (t, next);
+            for &(v, w) in &adj[next] {
+                if !in_a[v] && w != 0 {
+                    weight_to_a[v] += w;
+                    touching.raise(v, &weight_to_a);
                 }
             }
         }
-        let t = *order.last().unwrap();
-        let s = order[order.len() - 2];
         let cut_of_phase = weight_to_a[t];
         if cut_of_phase < best.0 {
             let mut side = vec![false; n];
@@ -50,18 +87,116 @@ pub fn stoer_wagner(w: &[Vec<Weight>]) -> (Weight, Vec<bool>) {
             }
             best = (cut_of_phase, side);
         }
-        // Merge t into s.
+        // Merge t into s: the s–t edge vanishes, and t's other neighbours
+        // become s's.
         let t_members = std::mem::take(&mut members[t]);
         members[s].extend(t_members);
-        for &v in &active {
-            if v != s && v != t {
-                w[s][v] += w[t][v];
-                w[v][s] = w[s][v];
+        let t_adj = std::mem::take(&mut adj[t]);
+        for &(v, w) in &t_adj {
+            if v != s {
+                let list = &mut adj[v];
+                list.retain(|&(x, _)| x != t);
+                list.push((s, w));
+                sum_parallel(list, &mut slot);
             }
         }
-        active.retain(|&v| v != t);
+        adj[s].retain(|&(x, _)| x != t);
+        adj[s].extend(t_adj.into_iter().filter(|&(v, _)| v != s));
+        sum_parallel(&mut adj[s], &mut slot);
+        live.retain(|&v| v != t);
     }
     best
+}
+
+/// Sums the entries of an adjacency list that share a neighbour into the
+/// first of them. `slot` is all `usize::MAX` on entry and on return.
+fn sum_parallel(list: &mut Vec<(usize, Weight)>, slot: &mut [usize]) {
+    let mut kept = 0;
+    for i in 0..list.len() {
+        let (v, w) = list[i];
+        if slot[v] == usize::MAX {
+            slot[v] = kept;
+            list[kept] = (v, w);
+            kept += 1;
+        } else {
+            list[slot[v]].1 += w;
+        }
+    }
+    list.truncate(kept);
+    for &(v, _) in list.iter() {
+        slot[v] = usize::MAX;
+    }
+}
+
+/// A binary max-heap of vertices ordered by `(key, index)`, which keeps
+/// each member's position so that a raised key sifts up in place.
+struct MaxHeap {
+    items: Vec<usize>,
+    /// `pos[v]`: `v`'s index in `items`, or `usize::MAX` if absent.
+    pos: Vec<usize>,
+}
+
+impl MaxHeap {
+    fn new(n: usize) -> Self {
+        MaxHeap {
+            items: Vec::new(),
+            pos: vec![usize::MAX; n],
+        }
+    }
+
+    /// Removes and returns the member with the largest `(key, index)`.
+    fn pop(&mut self, key: &[Weight]) -> Option<usize> {
+        let top = *self.items.first()?;
+        self.pos[top] = usize::MAX;
+        let last = self.items.pop().expect("non-empty");
+        let len = self.items.len();
+        if len > 0 {
+            let mut i = 0;
+            loop {
+                let mut c = 2 * i + 1;
+                if c >= len {
+                    break;
+                }
+                if c + 1 < len && above(key, self.items[c + 1], self.items[c]) {
+                    c += 1;
+                }
+                if !above(key, self.items[c], last) {
+                    break;
+                }
+                self.items[i] = self.items[c];
+                self.pos[self.items[i]] = i;
+                i = c;
+            }
+            self.items[i] = last;
+            self.pos[last] = i;
+        }
+        Some(top)
+    }
+
+    /// Inserts `v`, or restores the heap after `key[v]` grew.
+    fn raise(&mut self, v: usize, key: &[Weight]) {
+        let mut i = self.pos[v];
+        if i == usize::MAX {
+            i = self.items.len();
+            self.items.push(v);
+        }
+        while i > 0 {
+            let parent = self.items[(i - 1) / 2];
+            if !above(key, v, parent) {
+                break;
+            }
+            self.items[i] = parent;
+            self.pos[parent] = i;
+            i = (i - 1) / 2;
+        }
+        self.items[i] = v;
+        self.pos[v] = i;
+    }
+}
+
+/// Whether `a` comes before `b` in the maximum-adjacency order.
+fn above(key: &[Weight], a: usize, b: usize) -> bool {
+    (key[a], a) > (key[b], b)
 }
 
 /// Brute-force directed global minimum cut: minimum over all bipartitions
@@ -165,13 +300,77 @@ pub fn planar_directed_min_cut_reference(
 mod tests {
     use super::*;
     use duality_planar::gen;
+    use proptest::prelude::*;
+
+    /// The textbook `O(n³)` Stoer–Wagner on a symmetric weight matrix, with
+    /// the same four rules as [`stoer_wagner`]: each phase starts at the
+    /// largest live index, ties go to the largest index (`max_by_key` over
+    /// the ascending live list), `t` merges into `s`, and only a strictly
+    /// smaller phase cut replaces the best. The oracle of the sparse one.
+    fn dense_stoer_wagner(w: &[Vec<Weight>]) -> (Weight, Vec<bool>) {
+        let n = w.len();
+        let mut w = w.to_vec();
+        let mut members: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
+        let mut active: Vec<usize> = (0..n).collect();
+        let mut best = (INF, Vec::new());
+        while active.len() > 1 {
+            let mut in_a = vec![false; n];
+            let mut weight_to_a = vec![0 as Weight; n];
+            let mut order = Vec::with_capacity(active.len());
+            for _ in 0..active.len() {
+                let &next = active
+                    .iter()
+                    .filter(|&&v| !in_a[v])
+                    .max_by_key(|&&v| weight_to_a[v])
+                    .expect("active vertex remains");
+                in_a[next] = true;
+                order.push(next);
+                for &v in &active {
+                    if !in_a[v] {
+                        weight_to_a[v] += w[next][v];
+                    }
+                }
+            }
+            let t = *order.last().unwrap();
+            let s = order[order.len() - 2];
+            let cut_of_phase = weight_to_a[t];
+            if cut_of_phase < best.0 {
+                let mut side = vec![false; n];
+                for &v in &members[t] {
+                    side[v] = true;
+                }
+                best = (cut_of_phase, side);
+            }
+            let t_members = std::mem::take(&mut members[t]);
+            members[s].extend(t_members);
+            for &v in &active {
+                if v != s && v != t {
+                    w[s][v] += w[t][v];
+                    w[v][s] = w[s][v];
+                }
+            }
+            active.retain(|&v| v != t);
+        }
+        best
+    }
+
+    /// The weight matrix of an edge list (self-loops dropped).
+    fn matrix(n: usize, edges: &[(usize, usize, Weight)]) -> Vec<Vec<Weight>> {
+        let mut w = vec![vec![0; n]; n];
+        for &(u, v, x) in edges {
+            if u != v {
+                w[u][v] += x;
+                w[v][u] += x;
+            }
+        }
+        w
+    }
 
     #[test]
     fn stoer_wagner_triangle() {
         // Triangle with weights 1, 2, 3: min cut isolates the vertex with
         // the two lightest incident edges.
-        let w = vec![vec![0, 1, 2], vec![1, 0, 3], vec![2, 3, 0]];
-        let (cut, side) = stoer_wagner(&w);
+        let (cut, side) = stoer_wagner(3, &[(0, 1, 1), (0, 2, 2), (1, 2, 3)]);
         assert_eq!(cut, 3); // cut {0} with edges 1 + 2
         let shore: Vec<usize> = (0..3).filter(|&v| side[v]).collect();
         assert!(shore == vec![0] || shore == vec![1, 2]);
@@ -181,17 +380,37 @@ mod tests {
     fn stoer_wagner_two_clusters() {
         // Two triangles of weight-10 edges joined by a weight-1 bridge.
         let n = 6;
-        let mut w = vec![vec![0; n]; n];
-        for &(a, b) in &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
-            w[a][b] = 10;
-            w[b][a] = 10;
-        }
-        w[2][3] = 1;
-        w[3][2] = 1;
-        let (cut, side) = stoer_wagner(&w);
+        let mut edges: Vec<(usize, usize, Weight)> =
+            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+                .iter()
+                .map(|&(a, b)| (a, b, 10))
+                .collect();
+        edges.push((2, 3, 1));
+        let (cut, side) = stoer_wagner(n, &edges);
         assert_eq!(cut, 1);
         let s: Vec<usize> = (0..n).filter(|&v| side[v]).collect();
         assert!(s == vec![0, 1, 2] || s == vec![3, 4, 5]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sparse Stoer–Wagner returns exactly the dense oracle's cut
+        /// and shore on random multigraphs: parallel edges, self-loops,
+        /// zero weights and disconnected graphs included.
+        #[test]
+        fn stoer_wagner_matches_the_dense_oracle(
+            n in 2usize..41,
+            m in 0usize..121,
+            wmax in 0i64..10,
+            ends in prop::collection::vec(0usize..1_000_000, 240),
+            weights in prop::collection::vec(0i64..1_000, 120),
+        ) {
+            let edges: Vec<(usize, usize, Weight)> = (0..m)
+                .map(|i| (ends[2 * i] % n, ends[2 * i + 1] % n, weights[i] % (wmax + 1)))
+                .collect();
+            prop_assert_eq!(stoer_wagner(n, &edges), dense_stoer_wagner(&matrix(n, &edges)));
+        }
     }
 
     #[test]

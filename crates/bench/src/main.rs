@@ -5,7 +5,8 @@
 //!
 //! * `experiments [ids...]` — run the paper's T/F/A tables (default:
 //!   all). Unknown ids exit 2. Markdown tables go to stdout; raw rows to
-//!   `experiments.json`.
+//!   `experiments.json`. A row whose `ok` column reads 0 (T1, F4) is
+//!   named on stderr and exits 1, after `experiments.json` is written.
 //! * `experiments run <spec-file> [--smoke] [--seed N] [--out FILE]` —
 //!   run one declarative lab spec (`experiments/*.lab.jsonl`, the
 //!   serving-stack S-series) and write its envelope (default
@@ -154,7 +155,19 @@ fn cmd_tables(args: &[String]) -> i32 {
     std::fs::write("experiments.json", format!("[\n{}\n]\n", body.join(",\n")))
         .expect("writable cwd");
     eprintln!("\nwrote {} rows to experiments.json", all.len());
-    0
+    let failed = failed_rows(&all);
+    for r in &failed {
+        eprintln!("check failed: {} {}", r.experiment, r.instance);
+    }
+    i32::from(!failed.is_empty())
+}
+
+/// The rows whose `ok` column reads anything but 1: a table's check
+/// against its centralized reference failed there.
+fn failed_rows(rows: &[EnvRow]) -> Vec<&EnvRow> {
+    rows.iter()
+        .filter(|r| r.value("ok").is_some_and(|ok| ok != 1.0))
+        .collect()
 }
 
 fn print_table(rows: &[EnvRow]) {
@@ -458,4 +471,35 @@ fn positional(args: &[String]) -> Vec<&str> {
         out.push(a.as_str());
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(instance: &str, values: &[(&str, f64)]) -> EnvRow {
+        EnvRow {
+            experiment: "T1".into(),
+            instance: instance.into(),
+            n: 4,
+            d: 2,
+            values: values.iter().map(|&(k, v)| (k.into(), v)).collect(),
+        }
+    }
+
+    #[test]
+    fn only_rows_whose_ok_is_not_one_fail() {
+        let rows = [
+            row("passed", &[("ok", 1.0), ("rounds", 9.0)]),
+            row("failed", &[("ok", 0.0), ("rounds", 9.0)]),
+            row("no check", &[("rounds", 0.0)]),
+        ];
+        let failed: Vec<&str> = failed_rows(&rows)
+            .iter()
+            .map(|r| r.instance.as_str())
+            .collect();
+        assert_eq!(failed, ["failed"]);
+        assert!(failed_rows(&rows[..1]).is_empty());
+        assert!(failed_rows(&[]).is_empty());
+    }
 }

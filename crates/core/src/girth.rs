@@ -5,8 +5,10 @@
 //! exactly the paper's: (1) deactivate self-loops and parallel dual edges
 //! in the minor-aggregation model, summing parallel weights (Lemma 4.15);
 //! (2) run the exact min-cut minor-aggregation algorithm on the simple dual
-//! (Ghaffari–Zuzic, Theorem 4.16 — substituted by centralized Stoer–Wagner
-//! charged at the paper's `Õ(1)` minor-aggregation rounds, see `DESIGN.md`);
+//! (Ghaffari–Zuzic, Theorem 4.16 — substituted by a centralized sparse
+//! maximum-adjacency Stoer–Wagner on the active dual edges, `O(F·m log F)`
+//! time and `O(F + m)` memory for `F` faces and `m` edges, charged at the
+//! paper's `Õ(1)` minor-aggregation rounds, see `DESIGN.md`);
 //! (3) mark the cut edges (Lemma 4.17 machinery) — their primal edges are
 //! the minimum cycle.
 //!
@@ -50,18 +52,15 @@ pub(crate) fn run_girth_on_dual(
     // the simple dual of a planar graph is 3 — paper, Section 4.2.3).
     let active = deactivate_parallel_edges(&mut ma, 3, |a, b| a + b);
 
-    // (2) Exact min cut of the simple dual (black-box charge).
-    let n = g.num_faces();
-    let mut w = vec![vec![0; n]; n];
-    for (i, a) in active.iter().enumerate() {
-        if let Some(weight) = a {
-            let e = &ma_edges[i];
-            w[e.u][e.v] += weight;
-            w[e.v][e.u] += weight;
-        }
-    }
+    // (2) Exact min cut of the simple dual (black-box charge), on its
+    // active edges.
+    let simple: Vec<(usize, usize, Weight)> = active
+        .iter()
+        .zip(&ma_edges)
+        .filter_map(|(a, e)| a.map(|weight| (e.u, e.v, weight)))
+        .collect();
     ma.add_black_box_rounds(cm.min_cut_minor_aggregation_rounds());
-    let (cut, side) = stoer_wagner(&w);
+    let (cut, side) = stoer_wagner(g.num_faces(), &simple);
 
     // (3) Mark the cut edges: every dual edge (including previously
     // deactivated parallels) crossing the bisection; one consensus round

@@ -28,8 +28,10 @@
 //! was labeled from ([`DualLabels::bag_graph`]: a leaf's dual arcs or a
 //! non-leaf bag's DDG, whose `S_X` arcs are its only dart-carrying arcs).
 //! The bag's candidates are the arcs of that graph that carry a dart, each
-//! with its avoid-one-arc Dijkstra — a local computation after the same
-//! label broadcasts the SSSP algorithm performs, hence the `Õ(D²)` total.
+//! with its avoid-one-arc Dijkstra. The bag's adjacency is built once and
+//! shared by its candidates, and each search stops once its target is
+//! settled. This is a local computation after the same label broadcasts
+//! the SSSP algorithm performs, hence the `Õ(D²)` total.
 //! Correctness of the per-bag localization: a candidate walk in a bag's
 //! dual (or DDG) is a walk in `G'*`, so every candidate is ≥ mincut; and
 //! the optimal cycle `C` is wholly contained in every bag along the
@@ -44,6 +46,8 @@
 use duality_congest::{CostLedger, CostModel};
 use duality_labeling::{BagGraph, DualLabels};
 use duality_planar::{Dart, FaceId, PlanarGraph, Weight, INF};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The cycle–cut pipeline proper: per-dart candidates over the BDD bags
 /// against the **weight-tier** labels (the dual labeling at the augmented
@@ -68,14 +72,24 @@ pub(crate) fn run_global_cut(
         lengths[Dart::forward(e).index()] = w;
     }
 
+    // Every search below stops once its target is settled, which is exact
+    // only for non-negative lengths: weights are validated `>= 0`,
+    // reversals are 0, and clique arcs are distances over these lengths.
+    assert!(
+        lengths.iter().all(|&l| l >= 0),
+        "the global-cut scan needs non-negative lengths"
+    );
+
     // Per-dart candidates, each at the bag that owns the dart: the arcs of
     // the bag's graph that carry a dart.
     let mut best: Option<(Weight, Dart)> = None;
+    let mut search = BagSearch::default();
     for bag in 0..engine.bdd.bags.len() {
         let graph = labels.bag_graph(bag, &lengths);
+        search.load(&graph);
         for &(from, to, w, dart) in &graph.arcs {
             let Some(dart) = dart else { continue };
-            if let Some(dist) = dijkstra_avoiding(&graph, to, from, dart.rev()) {
+            if let Some(dist) = search.distance_avoiding(to, from, dart.rev()) {
                 let cand = w + dist;
                 if best.is_none_or(|(bw, bd)| (cand, dart.index()) < (bw, bd.index())) {
                     best = Some((cand, dart));
@@ -114,42 +128,71 @@ pub(crate) fn run_global_cut(
     (value, side, cut_edges)
 }
 
-/// Dijkstra from `src` to `dst` over the bag graph's arcs, skipping the
-/// single arc tagged with the dart `avoid`.
-fn dijkstra_avoiding(graph: &BagGraph, src: usize, dst: usize, avoid: Dart) -> Option<Weight> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = graph.len;
-    let mut adj: Vec<Vec<(usize, Weight)>> = vec![Vec::new(); n];
-    for &(a, b, w, tag) in &graph.arcs {
-        if tag == Some(avoid) {
-            continue;
+/// One bag's graph in CSR form, each arc with its dart tag, and the
+/// distance buffer and heap that every search in that bag reuses. One per
+/// scan, reloaded per bag.
+#[derive(Default)]
+struct BagSearch {
+    /// Arcs out of node `u` are `arcs[first[u]..first[u + 1]]`.
+    first: Vec<usize>,
+    /// `(to, length, dart)` per arc, grouped by tail.
+    arcs: Vec<(usize, Weight, Option<Dart>)>,
+    dist: Vec<Weight>,
+    heap: BinaryHeap<Reverse<(Weight, usize)>>,
+}
+
+impl BagSearch {
+    /// Replaces the loaded graph with `graph`.
+    fn load(&mut self, graph: &BagGraph) {
+        let n = graph.len;
+        self.first.clear();
+        self.first.resize(n + 1, 0);
+        for &(a, ..) in &graph.arcs {
+            self.first[a + 1] += 1;
         }
-        adj[a].push((b, w));
+        for u in 0..n {
+            self.first[u + 1] += self.first[u];
+        }
+        self.arcs.clear();
+        self.arcs.resize(graph.arcs.len(), (0, 0, None));
+        let mut next = self.first.clone();
+        for &(a, b, w, tag) in &graph.arcs {
+            self.arcs[next[a]] = (b, w, tag);
+            next[a] += 1;
+        }
+        self.dist.clear();
+        self.dist.resize(n, INF);
     }
-    let mut dist = vec![INF; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0;
-    heap.push(Reverse((0, src)));
-    while let Some(Reverse((du, u))) = heap.pop() {
-        if du > dist[u] {
-            continue;
-        }
-        for &(v, w) in &adj[u] {
-            if du + w < dist[v] {
-                dist[v] = du + w;
-                heap.push(Reverse((du + w, v)));
+
+    /// Dijkstra from `src` over the loaded graph, skipping the arc tagged
+    /// with the dart `avoid`; returns the distance to `dst` once `dst` is
+    /// settled, or `None` if it is unreachable.
+    fn distance_avoiding(&mut self, src: usize, dst: usize, avoid: Dart) -> Option<Weight> {
+        self.dist.fill(INF);
+        self.heap.clear();
+        self.dist[src] = 0;
+        self.heap.push(Reverse((0, src)));
+        while let Some(Reverse((du, u))) = self.heap.pop() {
+            if du > self.dist[u] {
+                continue;
+            }
+            if u == dst {
+                return Some(du);
+            }
+            for &(v, w, tag) in &self.arcs[self.first[u]..self.first[u + 1]] {
+                if tag != Some(avoid) && du + w < self.dist[v] {
+                    self.dist[v] = du + w;
+                    self.heap.push(Reverse((du + w, v)));
+                }
             }
         }
+        None
     }
-    (dist[dst] < INF).then_some(dist[dst])
 }
 
 /// Extracts the optimal cycle: shortest `head(d*) → tail(d*)` path in the
 /// full dual avoiding `rev(d*)`, plus `d*` itself.
 fn extract_cycle(g: &PlanarGraph, lengths: &[Weight], best: Dart) -> Vec<Dart> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     let (from, to) = g.dual_arc(best);
     let n = g.num_faces();
     let mut dist = vec![INF; n];
@@ -275,6 +318,18 @@ mod tests {
         let g = gen::apollonian(12, 8).unwrap();
         let w = gen::random_edge_weights(g.num_edges(), 1, 15, 5);
         check(&g, &w);
+    }
+
+    #[test]
+    fn outerplanar_match() {
+        // The polygon is a directed cycle, so every cut pays a positive
+        // weight: a scan that answered 0 would fail here.
+        for (n, full) in [(8, true), (11, false), (14, true), (20, false)] {
+            let g = gen::outerplanar(n, n as u64, full).unwrap();
+            let w = gen::random_edge_weights(g.num_edges(), 1, 9, n as u64 + 1);
+            let r = check(&g, &w);
+            assert!(r.value > 0, "n = {n}");
+        }
     }
 
     #[test]
